@@ -86,16 +86,26 @@ def _load_or_build_mesh(args):
     return geometry.generate_mesh(_spec_from_args(args))
 
 
+def _supports(msh):
+    """(fixed_set, extra_fixed) from the mesh's node sets: the clamped
+    end ``fixed`` (plus the symmetry plane ``symx`` of a half model), or
+    else the plane-strain supports of a tube slice."""
+    tube_sets = {name for name, _ in verify.CYLINDER_FIXED}
+    if "fixed" not in msh.node_sets and tube_sets <= set(msh.node_sets):
+        return None, verify.CYLINDER_FIXED
+    extra = (("symx", "x"),) if "symx" in msh.node_sets else ()
+    return "fixed", extra
+
+
 def _cmd_solve(args):
     cfg = _resolve_config(args)
     msh = _load_or_build_mesh(args)
     params = cfgmod.material_params(cfg)
-    extra = []
-    if "symx" in msh.node_sets:
-        extra.append(("symx", "x"))
+    fixed, extra = _supports(msh)
     increments = args.increments or cfg["solver.increments"]
     case = fea.LoadCase(target_pressure_kpa=args.pressure,
-                        increments=increments, extra_fixed=tuple(extra))
+                        increments=increments, fixed_set=fixed,
+                        extra_fixed=extra)
     try:
         sol = fea.solve(msh, params, case, verbose=args.verbose)
     except fea.SolveError as exc:

@@ -4,9 +4,15 @@ Displacement-based quadratic tets, 4-point quadrature, Neo-Hookean
 material, and a follower pressure load integrated on the deformed cavity
 surface.  The Newton linearization carries both the material/geometric
 stiffness and the unsymmetric pressure load stiffness, so convergence
-near the solution is quadratic.  Increments that fail to converge or
-invert an element are bisected down to 1/32 of the nominal step before
-the solver gives up.
+near the solution is quadratic.  Increments that fail to converge,
+invert an element or meet a singular factor are bisected down to 1/32
+of the nominal step before the solver gives up.
+
+Assembly uses one sparsity pattern per solve, built from the node pairs
+that share a tet.  The element tangents and the cavity face load
+stiffness are each summed into that pattern's CSC data with one scatter,
+and Newton factors the free-DOF block cut from the same data by a
+precomputed index, so no sparse structure is rebuilt per iteration.
 
 Units: mm, N, MPa internally; pressures cross the API in kPa.
 """
@@ -84,8 +90,82 @@ class Solution:
 
 # ---------------------------------------------------------------- kernels
 
+_AX3 = np.arange(3)
+_CHUNK = 256             # elements per batch of the tangent kernel
+
+
+class _Pattern:
+    """CSC structure of the (3N, 3N) stiffness on the node pairs of the tets.
+
+    Every node pair (a, b) that shares a tet owns one 3x3 block.  The
+    pairs are sorted by column node, then row node, so DOF column
+    3b + k holds the blocks of column node b in row order, each giving
+    rows 3a, 3a + 1, 3a + 2.  ``tet_pos`` places every entry of the
+    element matrices in ``data``; one ``np.bincount`` sums them there.
+    """
+
+    def __init__(self, mesh):
+        n = mesh.n_nodes
+        self.n_dof = 3 * n
+        self.pairs = np.unique(_pair_keys(mesh.tets, n))
+        col = self.pairs // n
+        self.count = np.bincount(col, minlength=n)        # blocks per column node
+        self.start = np.cumsum(self.count) - self.count    # first block of each
+        self.nnz = 9 * self.pairs.size
+        idx = np.int32 if max(self.nnz, self.n_dof) < 2 ** 31 else np.int64
+        self.indptr = np.empty(self.n_dof + 1, dtype=idx)
+        self.indptr[:-1] = (9 * self.start[:, None]
+                            + 3 * self.count[:, None] * _AX3).ravel()
+        self.indptr[-1] = self.nnz
+        self.indices = np.empty(self.nnz, dtype=idx)
+        pos = self._block(np.arange(self.pairs.size), col)
+        self.indices[pos] = 3 * (self.pairs % n)[:, None, None] + _AX3
+        self.tet_pos = self.scatter(mesh.tets)
+
+    def _block(self, p, b):
+        """Data positions of pair p in column node b, (..., 3 col axes,
+        3 row axes)."""
+        start = self.start[b][..., None, None]
+        return (9 * start + 3 * (p[..., None, None] - start) + _AX3
+                + 3 * self.count[b][..., None, None] * _AX3[:, None])
+
+    def scatter(self, conn):
+        """Data positions of the element matrices on nodes ``conn`` (K, m),
+        flattened from (K, row node, column node, column axis, row axis).
+
+        Raises ValueError for a node pair outside the pattern, whose
+        entries would otherwise be lost.
+        """
+        keys = _pair_keys(conn, self.n_dof // 3)
+        p = np.searchsorted(self.pairs, keys)
+        if not np.all(np.append(self.pairs, -1)[p] == keys):
+            raise ValueError("element node pairs fall outside the sparsity "
+                             "pattern of the tets; every face must lie on a tet")
+        return self._block(p, np.broadcast_to(conn[:, None, :], keys.shape)).ravel()
+
+    def matrix(self, pos, values):
+        """The (3N, 3N) CSC matrix of ``values`` summed into ``pos``."""
+        data = np.bincount(pos, weights=values.ravel(), minlength=self.nnz)
+        return sparse.csc_matrix((data, self.indices, self.indptr),
+                                 shape=(self.n_dof, self.n_dof))
+
+    def free_block(self, free):
+        """(take, indices, indptr) of the CSC block K[free][:, free],
+        whose data is ``K.data[take]`` for any K on this pattern."""
+        ids = sparse.csc_matrix((np.arange(1, self.nnz + 1), self.indices,
+                                 self.indptr), shape=(self.n_dof, self.n_dof))
+        block = ids.tocsr()[free][:, free].tocsc()
+        return block.data - 1, block.indices, block.indptr
+
+
+def _pair_keys(conn, n_nodes):
+    """Keys column * N + row of the node pairs of each element, (K, m, m)."""
+    return conn[:, None, :] * n_nodes + conn[:, :, None]
+
+
 class _Precomputed:
-    """Reference-configuration shape data reused across assemblies."""
+    """Reference-configuration shape data and the sparsity pattern,
+    reused across assemblies."""
 
     def __init__(self, mesh):
         qp, w = tet_quadrature()
@@ -100,8 +180,12 @@ class _Precomputed:
         inv = np.linalg.inv(jac)                           # (M, q, 3, 3)
         self.dndx = np.einsum("qad,eqdm->eqam", dn_ref, inv)
         self.detjw = det * w[None, :]
+        # w dN_a/dX_K laid out (M, a, (q, K)) for the tangent kernel
+        self.wdndx = (self.dndx * self.detjw[..., None, None]).transpose(
+            0, 2, 1, 3).reshape(len(mesh.tets), 10, -1)
         self.tets = mesh.tets
         self.n_nodes = mesh.n_nodes
+        self.pattern = _Pattern(mesh)
 
 
 def _def_grad(pre, u):
@@ -131,38 +215,46 @@ def internal_force(mesh, params, u, pre=None):
     return out
 
 
-def tangent_stiffness(mesh, params, u, pre=None, chunk=4096):
-    """Sparse consistent tangent d f_int / d u, (3N, 3N) CSC."""
+def tangent_stiffness(mesh, params, u, pre=None):
+    """Sparse consistent tangent d f_int / d u, (3N, 3N) CSC.
+
+    The element matrices
+
+        K[a i, b k] = sum_q w dN_a/dX_K (F_iJ C_JKLM F_kL + S_KM d_ik) dN_b/dX_M
+
+    come from batched matrix products, elements in chunks of ``_CHUNK``
+    written into one array, and are summed into the mesh's fixed
+    sparsity pattern with one scatter.  The matrix always has the same
+    structure, so callers can slice its data by precomputed indices.
+    """
     pre = pre or _Precomputed(mesh)
     f = _def_grad(pre, u)
     s = mat.pk2_stress(params, f)
     cc = mat.lagrangian_tangent(params, f)
-    n_dof = 3 * pre.n_nodes
-
-    blocks = []
-    for lo in range(0, pre.tets.shape[0], chunk):
-        sl = slice(lo, lo + chunk)
-        dndx, detjw = pre.dndx[sl], pre.detjw[sl]
-        fd = np.einsum("eqiJ,eqJKLM,eqkL->eqiKkM", f[sl], cc[sl], f[sl])
-        t1 = np.einsum("eqaK,eqiKkM->eqaikM", dndx, fd)
-        ke = np.einsum("eqaikM,eqbM,eq->eaibk", t1, dndx, detjw)
-        kgeo = np.einsum("eqaJ,eqJL,eqbL,eq->eab", dndx, s[sl], dndx, detjw)
-        ke += kgeo[:, :, None, :, None] * _EYE[None, None, :, None, :]
-
-        dof = (3 * pre.tets[sl][:, :, None] + np.arange(3)).reshape(-1, 30)
-        rows = np.broadcast_to(dof[:, :, None], (dof.shape[0], 30, 30))
-        cols = np.broadcast_to(dof[:, None, :], (dof.shape[0], 30, 30))
-        blocks.append(sparse.coo_matrix(
-            (ke.reshape(-1, 30, 30).ravel(),
-             (rows.ravel(), cols.ravel())), shape=(n_dof, n_dof)).tocsc())
-    k = blocks[0]
-    for b in blocks[1:]:
-        k = k + b
-    return k
+    n_q = f.shape[1]
+    ft = f.swapaxes(-1, -2)
+    ke = np.empty((len(pre.tets), 10, 90))                 # [a, (b, k, i)]
+    for lo in range(0, len(pre.tets), _CHUNK):
+        sl = slice(lo, lo + _CHUNK)
+        # A[K M, k i] = F_iJ C_JKLM F_kL, contracting L through the minor
+        # symmetry C_JKLM = C_JKML
+        z = cc[sl].reshape(-1, n_q, 27, 3) @ ft[sl]        # [J K M, k]
+        a = z.reshape(-1, n_q, 3, 27).swapaxes(-1, -2) @ ft[sl]
+        a = a.reshape(-1, n_q, 3, 3, 3, 3)                 # [K, M, k, i]
+        for i in range(3):
+            a[..., i, i] += s[sl]
+        # V[q K, b k i] = dN_b/dX_M A[K M, k i]; quadrature points fold into
+        # the inner dimension of the product with w dN_a/dX_K
+        v = pre.dndx[sl, :, None] @ a.reshape(-1, n_q, 3, 3, 9)
+        np.matmul(pre.wdndx[sl], v.reshape(-1, 3 * n_q, 90), out=ke[sl])
+    return pre.pattern.matrix(pre.pattern.tet_pos, ke)
 
 
 class _FaceData:
-    def __init__(self, mesh, face_set):
+    """Reference data of a pressure face set; with ``pattern``, also the
+    positions of its load stiffness in that sparsity pattern."""
+
+    def __init__(self, mesh, face_set, pattern=None):
         self.faces = mesh.face_set(face_set)
         qp, self.w = tri_quadrature()
         self.shape = tri6_shape(qp)                        # (q, 6)
@@ -172,6 +264,9 @@ class _FaceData:
         self.ref_norm = np.linalg.norm(
             np.cross(t[..., 0], t[..., 1]), axis=2)        # (K, q)
         self.n_nodes = mesh.n_nodes
+        self.pattern = pattern
+        if pattern is not None:
+            self.pos = pattern.scatter(self.faces)
 
 
 def _deformed_normals(fd, mesh, u):
@@ -197,21 +292,19 @@ def pressure_force(mesh, pressure_kpa, u, face_set="cavity", fd=None):
 
 
 def pressure_stiffness(mesh, pressure_kpa, u, face_set="cavity", fd=None):
-    """Sparse d f_pressure / d u; unsymmetric load stiffness."""
-    fd = fd or _FaceData(mesh, face_set)
+    """Sparse d f_pressure / d u; unsymmetric load stiffness.
+
+    Returned on the sparsity pattern of the tets, like
+    ``tangent_stiffness``; ``fd``, when given, must carry that pattern.
+    """
+    fd = fd or _FaceData(mesh, face_set, _Pattern(mesh))
     t, _ = _deformed_normals(fd, mesh, u)
     p = KPA_TO_MPA * pressure_kpa
     a1 = np.einsum("imk,fqk->fqim", _EPS3, t[..., 1])
     a2 = np.einsum("ijm,fqj->fqim", _EPS3, t[..., 0])
-    ke = -p * (np.einsum("qa,q,fqim,qb->faibm", fd.shape, fd.w, a1, fd.grad[:, :, 0])
-               + np.einsum("qa,q,fqim,qb->faibm", fd.shape, fd.w, a2, fd.grad[:, :, 1]))
-    dof = (3 * fd.faces[:, :, None] + np.arange(3)).reshape(-1, 18)
-    rows = np.broadcast_to(dof[:, :, None], (dof.shape[0], 18, 18))
-    cols = np.broadcast_to(dof[:, None, :], (dof.shape[0], 18, 18))
-    n_dof = 3 * fd.n_nodes
-    return sparse.coo_matrix(
-        (ke.reshape(-1, 18, 18).ravel(), (rows.ravel(), cols.ravel())),
-        shape=(n_dof, n_dof)).tocsc()
+    ke = -p * (np.einsum("qa,q,fqim,qb->fabmi", fd.shape, fd.w, a1, fd.grad[:, :, 0])
+               + np.einsum("qa,q,fqim,qb->fabmi", fd.shape, fd.w, a2, fd.grad[:, :, 1]))
+    return fd.pattern.matrix(fd.pos, ke)
 
 
 # ----------------------------------------------------------------- solver
@@ -228,14 +321,48 @@ def _fixed_mask(mesh, case):
     return mask
 
 
-def _newton(mesh, params, pre, fd, pressure_kpa, u0, free, prescribed_u,
-            full_newton=False):
+_RIGID_MODES = ("x", "y", "z", "rot-x", "rot-y", "rot-z")
+
+
+def _check_supports(mesh, mask, pattern):
+    """Raise SolveError when the constrained DOFs ``mask`` leave the
+    tangent singular: a rigid-body mode free, or a free DOF of a node
+    that no tet uses."""
+    orphans = np.flatnonzero((pattern.count == 0) & ~mask.all(axis=1))
+    if orphans.size:
+        raise SolveError(f"nodes {orphans[:10].tolist()} belong to no element "
+                         "but are not fully constrained; the tangent is singular")
+    # linearized rigid modes, rotations about the centroid in units of the
+    # body size so that all six have unit scale
+    x = mesh.nodes - mesh.nodes.mean(axis=0)
+    x /= max(float(np.max(np.abs(x))), 1e-300)
+    modes = np.empty((mesh.n_nodes, 3, 6))
+    modes[:, :, :3] = _EYE
+    for axis in range(3):
+        modes[:, :, 3 + axis] = np.cross(_EYE[axis], x)
+    restricted = modes[mask]                               # (constrained, 6)
+    lam, vec = np.linalg.eigh(restricted.T @ restricted)
+    null = vec[:, lam <= 1e-12 * max(lam[-1], 0.0)]
+    if null.shape[1]:
+        weight = np.linalg.norm(null, axis=1)
+        names = [m for m, w in zip(_RIGID_MODES, weight) if w > 1e-3]
+        raise SolveError("load case leaves the body unconstrained in the "
+                         f"rigid-body modes {', '.join(names)}; the tangent "
+                         "is singular")
+
+
+def _newton(mesh, params, pre, fd, pressure_kpa, u0, free, block,
+            prescribed_u, full_newton=False):
     """Solve one pressure level; returns (u, iterations, residual history).
 
-    The factorized tangent is reused across iterations and rebuilt only
-    when the residual contraction degrades, which costs a few extra
-    cheap iterations but saves most of the sparse factorizations.
+    ``block`` = (take, indices, indptr) slices the free-DOF tangent out
+    of the pattern's data (see ``_Pattern.free_block``).  The factorized
+    tangent is reused across iterations and rebuilt only when the
+    residual contraction degrades, which costs a few extra cheap
+    iterations but saves most of the sparse factorizations.
     """
+    take, indices, indptr = block
+    n_free = len(indptr) - 1
     u = u0.copy()
     if prescribed_u is not None:
         u = np.where(free.reshape(-1, 3), u, prescribed_u)
@@ -263,13 +390,18 @@ def _newton(mesh, params, pre, fd, pressure_kpa, u0, free, prescribed_u,
         history.append(rnorm)
         if lu is None or full_newton or stalled:
             try:
-                kt = tangent_stiffness(mesh, params, u, pre)
+                data = tangent_stiffness(mesh, params, u, pre).data
                 if fd is not None:
-                    kt = kt - pressure_stiffness(mesh, pressure_kpa, u, fd=fd)
+                    data = data - pressure_stiffness(
+                        mesh, pressure_kpa, u, fd=fd).data
             except mat.InvalidDeformation as exc:
                 raise StepRejected(str(exc)) from None
-            kff = kt.tocsr()[free][:, free].tocsc()
-            lu = splu(kff)
+            kff = sparse.csc_matrix((data[take], indices, indptr),
+                                    shape=(n_free, n_free))
+            try:
+                lu = splu(kff)
+            except RuntimeError as exc:        # exactly singular factor
+                raise StepRejected(f"tangent factorization failed: {exc}") from None
         du = lu.solve(-resid)
         u = u.reshape(-1)
         u[free] += du
@@ -284,14 +416,16 @@ def solve(mesh, params, case, prescribed=None, verbose=False,
     ``prescribed`` optionally carries (mask, values) for inhomogeneous
     supports: boolean (N, 3) and target displacements, ramped with the
     load.  Returns a Solution whose first increment is the reference
-    state.  Raises SolveError when an increment cannot be converged even
-    after ``MAX_BISECTIONS`` halvings.  ``full_newton`` rebuilds the
-    tangent every iteration instead of reusing factorizations.
+    state.  Raises SolveError when the supports leave a rigid-body mode
+    or an element-free node unconstrained, or when an increment cannot
+    be converged even after ``MAX_BISECTIONS`` halvings.
+    ``full_newton`` rebuilds the tangent every iteration instead of
+    reusing factorizations.
     """
     pre = _Precomputed(mesh)
     fd = None
     if case.target_pressure_kpa > 0.0:
-        fd = _FaceData(mesh, case.pressure_set)
+        fd = _FaceData(mesh, case.pressure_set, pre.pattern)
 
     mask = _fixed_mask(mesh, case)
     values = np.zeros((mesh.n_nodes, 3))
@@ -300,9 +434,8 @@ def solve(mesh, params, case, prescribed=None, verbose=False,
         mask = mask | pmask
         values = np.where(pmask, pvalues, values)
     free = ~mask.reshape(-1)
-    if not np.any(mask):
-        raise SolveError("load case leaves the body unconstrained; "
-                         "rigid modes make the tangent singular")
+    _check_supports(mesh, mask, pre.pattern)
+    block = pre.pattern.free_block(free)
 
     u = np.zeros((mesh.n_nodes, 3))
     sol = Solution(pressures_kpa=np.zeros(1), displacements=[u.copy()])
@@ -330,7 +463,7 @@ def solve(mesh, params, case, prescribed=None, verbose=False,
                 try:
                     un, iters, hist = _newton(
                         mesh, params, pre, fd, trial * target, u_start, free,
-                        trial * values if prescribed is not None else None,
+                        block, trial * values if prescribed is not None else None,
                         full_newton=full_newton)
                     break
                 except StepRejected as exc:

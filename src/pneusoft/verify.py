@@ -107,7 +107,7 @@ def check_gradient(cfg=None, n_states=100, seed=20260814):
         warnings.simplefilter("ignore")
         pocket = geometry.generate_mesh(
             geometry.ActuatorSpec(kind="pocket", element_size=2.5))
-    fd = fea._FaceData(pocket, "cavity")
+    fd = fea._FaceData(pocket, "cavity", fea._Pattern(pocket))
     rng = np.random.default_rng(seed)
     h = 1e-5
     worst_force = worst_tangent = worst_press = 0.0

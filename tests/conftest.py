@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from pneusoft import geometry
+from pneusoft import mesh as meshmod
 
 ACCEPTANCE_LINES = {}
 
@@ -51,6 +52,13 @@ def coarse_mesh(kind, element_size, **kwargs):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return geometry.generate_mesh(spec)
+
+
+def with_orphan_node(mesh):
+    """Copy of ``mesh`` with one extra node that no element uses."""
+    nodes = np.vstack([mesh.nodes, mesh.nodes.max(axis=0) + 5.0])
+    return meshmod.Mesh(nodes=nodes, tets=mesh.tets,
+                        node_sets=mesh.node_sets, face_sets=mesh.face_sets)
 
 
 def rotation(axis, angle_rad):

@@ -310,3 +310,11 @@ def test_criterion_09_bending_angles(bending_solutions):
     assert abs(final2 - 15.0) <= 3.0
     assert ordered
     assert t1 < 600.0 and t2 < 600.0
+
+
+def test_quadruped_bend_table_matches_bending_solve(bending_solutions):
+    # the quadruped model's bend table is copied from this solve
+    m2, sol2, _ = bending_solutions["bending2"]
+    ang = np.interp(robots.QUADRUPED_BEND_TABLE_KPA, sol2.pressures_kpa,
+                    fea.measure_bend_angle(m2, sol2))
+    assert np.max(np.abs(ang - robots.QUADRUPED_BEND_TABLE_DEG)) < 1e-3, ang

@@ -6,7 +6,7 @@ import pytest
 from pneusoft import cli, config as cfgmod, verify
 from pneusoft import mesh as meshmod
 
-from conftest import coarse_mesh
+from conftest import coarse_mesh, with_orphan_node
 
 
 @pytest.fixture(autouse=True)
@@ -102,6 +102,31 @@ def test_solve_nonconvergence_exits_1(tmp_path, capsys):
                    "--increments", "1", "--out", str(tmp_path / "s.csv")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_solve_orphan_node_exits_1(tmp_path, capsys):
+    m = coarse_mesh("pocket", 2.5)
+    msh = tmp_path / "orphan.msh"
+    meshmod.save_mesh(with_orphan_node(m), msh)
+    rc = cli.main(["solve", "--mesh", str(msh), "--pressure", "10",
+                   "--out", str(tmp_path / "s.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"nodes [{m.n_nodes}]" in err
+
+
+def test_solve_tube_uses_plane_strain_supports(tmp_path, capsys):
+    out = tmp_path / "tube.csv"
+    rc = cli.main(["solve", "--kind", "tube", "--element-size", "4",
+                   "--pressure", "50", "--increments", "5",
+                   "--out", str(out)])
+    assert rc == 0
+    assert "solved to 50 kPa" in capsys.readouterr().out
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert rows[-1, 1] == pytest.approx(50.0)
+    assert np.all(np.isfinite(rows))
+    assert np.all(np.diff(rows[:, 4]) > 0.0)
 
 
 def test_calibrate_recovers_constant(tmp_path, capsys):

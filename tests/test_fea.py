@@ -6,7 +6,7 @@ import pytest
 from pneusoft import fea, geometry, material
 from pneusoft import mesh as meshmod
 
-from conftest import coarse_mesh, rotation
+from conftest import coarse_mesh, rotation, with_orphan_node
 
 PARAMS = material.HyperelasticParams(c10=0.24)
 
@@ -77,6 +77,90 @@ def test_tangent_matches_force_differences(small_cube):
         fd = (fp - fm).reshape(-1) / (2.0 * h)
         kv = kt @ v.reshape(-1)
         assert np.linalg.norm(kv - fd) < 1e-5 * np.linalg.norm(fd)
+
+
+def _reference_tangent(mesh, u):
+    """Dense tangent summed one element at a time from the 6-index
+    einsum formula, K = int dN (F C F + S I) dN."""
+    pre = fea._Precomputed(mesh)
+    k = np.zeros((3 * mesh.n_nodes, 3 * mesh.n_nodes))
+    for conn, dndx, detjw in zip(mesh.tets, pre.dndx, pre.detjw):
+        f = np.eye(3) + np.einsum("am,qaj->qmj", u[conn], dndx)
+        s = material.pk2_stress(PARAMS, f)
+        cc = material.lagrangian_tangent(PARAMS, f)
+        fcf = np.einsum("qiJ,qJKLM,qkL->qiKkM", f, cc, f)
+        ke = np.einsum("qaK,qiKkM,qbM,q->aibk", dndx, fcf, dndx, detjw)
+        kgeo = np.einsum("qaJ,qJL,qbL,q->ab", dndx, s, dndx, detjw)
+        ke += kgeo[:, None, :, None] * np.eye(3)[None, :, None, :]
+        dof = (3 * conn[:, None] + np.arange(3)).ravel()
+        np.add.at(k, (dof[:, None], dof[None, :]), ke.reshape(30, 30))
+    return k
+
+
+@pytest.mark.parametrize("name", ["small_cube", "pocket_coarse"])
+def test_tangent_matches_elementwise_reference(name, request):
+    mesh = request.getfixturevalue(name)
+    u = _random_displacement(mesh, 7)
+    kt = fea.tangent_stiffness(mesh, PARAMS, u)
+    assert kt.format == "csc" and kt.shape == (3 * mesh.n_nodes,) * 2
+    diff = _reference_tangent(mesh, u)
+    scale = np.max(np.abs(diff))
+    coo = kt.tocoo()
+    diff[coo.row, coo.col] -= coo.data          # each position stored once
+    assert np.max(np.abs(diff)) < 1e-12 * scale
+
+
+class _Stop(Exception):
+    pass
+
+
+def test_newton_factors_free_block_of_pattern(pocket_coarse, monkeypatch):
+    # the free-DOF matrix cut from the pattern's data equals the slice of
+    # the assembled tangent minus the load stiffness
+    seen = {}
+
+    def record(name, original):
+        def call(*args, **kwargs):
+            seen[name] = original(*args, **kwargs)
+            if name == "splu":
+                raise _Stop
+            return seen[name]
+        monkeypatch.setattr(fea, name, call)
+
+    record("tangent_stiffness", fea.tangent_stiffness)
+    record("pressure_stiffness", fea.pressure_stiffness)
+    record("splu", lambda k: k)
+    case = fea.LoadCase(target_pressure_kpa=20.0, increments=1)
+    with pytest.raises(_Stop):
+        fea.solve(pocket_coarse, PARAMS, case)
+    mask = np.zeros((pocket_coarse.n_nodes, 3), dtype=bool)
+    mask[pocket_coarse.node_set("fixed")] = True
+    free = ~mask.reshape(-1)
+    want = (seen["tangent_stiffness"] - seen["pressure_stiffness"]).tocsr()[free][:, free]
+    got = seen["splu"]
+    assert got.format == "csc" and got.has_sorted_indices
+    assert got.shape == want.shape
+    assert abs(got - want).max() == 0.0
+
+
+def test_pressure_faces_outside_tet_pattern_rejected(pocket_coarse):
+    face = pocket_coarse.face_set("cavity")[0].copy()
+    # a node that shares no tet with the rest of the face
+    dist = np.linalg.norm(pocket_coarse.nodes - pocket_coarse.nodes[face[1]],
+                          axis=1)
+    far = int(np.argmax(dist))
+    assert not np.any(np.isin(pocket_coarse.tets, [far]).any(axis=1)
+                      & np.isin(pocket_coarse.tets, [face[1]]).any(axis=1))
+    face[0] = far
+    m = meshmod.Mesh(nodes=pocket_coarse.nodes, tets=pocket_coarse.tets,
+                     node_sets=pocket_coarse.node_sets,
+                     face_sets={"bad": face[None, :]})
+    u = np.zeros((m.n_nodes, 3))
+    with pytest.raises(ValueError, match="sparsity pattern"):
+        fea.pressure_stiffness(m, 10.0, u, face_set="bad")
+    case = fea.LoadCase(target_pressure_kpa=10.0, pressure_set="bad")
+    with pytest.raises(ValueError, match="sparsity pattern"):
+        fea.solve(m, PARAMS, case)
 
 
 def test_reference_tangent_spectrum(small_cube):
@@ -161,6 +245,38 @@ def test_solve_zero_target_returns_reference(pocket_coarse):
 def test_solve_rejects_unconstrained_case(pocket_coarse):
     case = fea.LoadCase(target_pressure_kpa=10.0, fixed_set=None)
     with pytest.raises(fea.SolveError, match="unconstrained"):
+        fea.solve(pocket_coarse, PARAMS, case)
+
+
+def test_solve_rejects_free_rigid_modes(small_cube):
+    # z pinned at one end and prescribed at the other leaves the body
+    # free to slide in x and y and to spin about z
+    case = fea.LoadCase(target_pressure_kpa=0.0, fixed_set=None,
+                        pressure_set=None, extra_fixed=(("fixed", "z"),))
+    pmask = np.zeros((small_cube.n_nodes, 3), dtype=bool)
+    pmask[small_cube.node_set("tip"), 2] = True
+    with pytest.raises(fea.SolveError,
+                       match=r"unconstrained in the rigid-body modes "
+                             r"x, y, rot-z;"):
+        fea.solve(small_cube, PARAMS, case,
+                  prescribed=(pmask, np.where(pmask, 0.1, 0.0)))
+
+
+def test_solve_rejects_orphan_node(pocket_coarse):
+    m = with_orphan_node(pocket_coarse)
+    case = fea.LoadCase(target_pressure_kpa=10.0, increments=1)
+    with pytest.raises(fea.SolveError,
+                       match=rf"nodes \[{pocket_coarse.n_nodes}\] belong to no element"):
+        fea.solve(m, PARAMS, case)
+
+
+def test_singular_factor_ends_in_solve_error(pocket_coarse, monkeypatch):
+    def singular(k):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(fea, "splu", singular)
+    case = fea.LoadCase(target_pressure_kpa=10.0, increments=1)
+    with pytest.raises(fea.SolveError, match="exactly singular"):
         fea.solve(pocket_coarse, PARAMS, case)
 
 
