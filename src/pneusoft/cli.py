@@ -107,7 +107,7 @@ def _cmd_solve(args):
                         increments=increments, fixed_set=fixed,
                         extra_fixed=extra)
     try:
-        sol = fea.solve(msh, params, case, verbose=args.verbose)
+        sol = fea.solve(msh, params, case)
     except fea.SolveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,17 +8,20 @@ near the solution is quadratic.  Increments that fail to converge,
 invert an element or meet a singular factor are bisected down to 1/32
 of the nominal step before the solver gives up.
 
-Assembly uses one sparsity pattern per solve, built from the node pairs
-that share a tet.  The element tangents and the cavity face load
-stiffness are each summed into that pattern's CSC data with one scatter,
-and Newton factors the free-DOF block cut from the same data by a
-precomputed index, so no sparse structure is rebuilt per iteration.
+One ``Model`` per solve owns the discretization, including one
+sparsity pattern built from the node pairs that share a tet.  The
+element tangents and the cavity face load stiffness are each summed
+into that pattern's CSC data with one scatter, and Newton factors the
+free-DOF block cut from the same data by a precomputed index, so no
+sparse structure is rebuilt per iteration.
 
 Units: mm, N, MPa internally; pressures cross the API in kPa.
 """
 
+import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -26,6 +29,8 @@ from scipy.sparse.linalg import splu
 
 from . import material as mat
 from .elements import tet10_shape_grad, tet_quadrature, tri6_shape, tri6_shape_grad, tri_quadrature
+
+log = logging.getLogger("pneusoft.fea")
 
 KPA_TO_MPA = 1e-3
 REL_TOL = 1e-6
@@ -92,6 +97,9 @@ class Solution:
 
 _AX3 = np.arange(3)
 _CHUNK = 256             # elements per batch of the tangent kernel
+_TRI_QP, _TRI_W = tri_quadrature()
+_TRI_N = tri6_shape(_TRI_QP)                               # (q, 6)
+_TRI_DN = tri6_shape_grad(_TRI_QP)                         # (q, 6, 2)
 
 
 class _Pattern:
@@ -163,11 +171,18 @@ def _pair_keys(conn, n_nodes):
     return conn[:, None, :] * n_nodes + conn[:, :, None]
 
 
-class _Precomputed:
-    """Reference-configuration shape data and the sparsity pattern,
-    reused across assemblies."""
+class Model:
+    """The discretization of one mesh, passed to the layer functions as
+    ``model=``; without it they build their own.
+
+    Construction computes the reference tet data at the quadrature
+    points: ``dndx`` = dN_a/dX (M, q, 10, 3), ``detjw`` = w det J (M, q)
+    and ``wdndx`` = w dN_a/dX_K laid out (M, a, (q, K)).  The sparsity
+    ``pattern`` and the face-set data are built on first use.
+    """
 
     def __init__(self, mesh):
+        self.mesh = mesh
         qp, w = tet_quadrature()
         dn_ref = tet10_shape_grad(qp)                      # (q, 10, 3)
         xe = mesh.nodes[mesh.tets]                         # (M, 10, 3)
@@ -180,42 +195,61 @@ class _Precomputed:
         inv = np.linalg.inv(jac)                           # (M, q, 3, 3)
         self.dndx = np.einsum("qad,eqdm->eqam", dn_ref, inv)
         self.detjw = det * w[None, :]
-        # w dN_a/dX_K laid out (M, a, (q, K)) for the tangent kernel
         self.wdndx = (self.dndx * self.detjw[..., None, None]).transpose(
-            0, 2, 1, 3).reshape(len(mesh.tets), 10, -1)
-        self.tets = mesh.tets
-        self.n_nodes = mesh.n_nodes
-        self.pattern = _Pattern(mesh)
+            0, 2, 1, 3).reshape(len(mesh.tets), 10, 3 * len(w))
+        self._faces = {}
+        self._face_pos = {}
+
+    @cached_property
+    def pattern(self):
+        """The sparsity pattern of the tets that every stiffness uses."""
+        return _Pattern(self.mesh)
+
+    def def_grad(self, u):
+        """Deformation gradients at the quadrature points, (M, q, 3, 3)."""
+        return np.einsum("eam,eqaj->eqmj", u[self.mesh.tets], self.dndx) + _EYE
+
+    def faces(self, name):
+        """(TRI6 connectivity, reference area density) of face set ``name``."""
+        if name not in self._faces:
+            faces = self.mesh.face_set(name)
+            _, nvec = _face_geometry(self.mesh.nodes, faces)
+            self._faces[name] = faces, np.linalg.norm(nvec, axis=2)
+        return self._faces[name]
+
+    def face_pos(self, name):
+        """Where the load stiffness of face set ``name`` goes in ``pattern``."""
+        if name not in self._face_pos:
+            self._face_pos[name] = self.pattern.scatter(self.faces(name)[0])
+        return self._face_pos[name]
 
 
-def _def_grad(pre, u):
-    ue = u[pre.tets]                                       # (M, 10, 3)
-    h = np.einsum("eam,eqaj->eqmj", ue, pre.dndx)
-    return h + _EYE
+def _node_sum(conn, values, n_nodes):
+    """(N, 3) sums over the nodes ``conn`` (K, m) of ``values`` (K, m, 3)."""
+    idx = (3 * conn[..., None] + _AX3).ravel()
+    return np.bincount(idx, weights=values.ravel(),
+                       minlength=3 * n_nodes).reshape(-1, 3)
 
 
-def total_strain_energy(mesh, params, u, pre=None):
+def total_strain_energy(mesh, params, u, *, model=None):
     """Integral of the energy density over the reference solid, in mJ."""
-    pre = pre or _Precomputed(mesh)
-    f = _def_grad(pre, u)
-    state = mat.DeformationState.from_gradient(f)
+    model = model or Model(mesh)
+    state = mat.DeformationState.from_gradient(model.def_grad(u))
     w = mat.strain_energy(params, state)
-    return float(np.einsum("eq,eq->", w, pre.detjw))
+    return float(np.einsum("eq,eq->", w, model.detjw))
 
 
-def internal_force(mesh, params, u, pre=None):
+def internal_force(mesh, params, u, *, model=None):
     """Nodal internal force (N, 3); the gradient of the strain energy."""
-    pre = pre or _Precomputed(mesh)
-    f = _def_grad(pre, u)
-    s = mat.pk2_stress(params, f)
-    p1 = np.einsum("eqij,eqjk->eqik", f, s)
-    fe = np.einsum("eqij,eqaj,eq->eai", p1, pre.dndx, pre.detjw)
-    out = np.zeros((pre.n_nodes, 3))
-    np.add.at(out, pre.tets, fe)
-    return out
+    model = model or Model(mesh)
+    f = model.def_grad(u)
+    p1 = f @ mat.pk2_stress(params, f)
+    # f[a, i] = w dN_a/dX_K P_iK, summed over the quadrature points and K
+    fe = model.wdndx @ p1.swapaxes(-1, -2).reshape(len(f), -1, 3)
+    return _node_sum(mesh.tets, fe, mesh.n_nodes)
 
 
-def tangent_stiffness(mesh, params, u, pre=None):
+def tangent_stiffness(mesh, params, u, *, model=None):
     """Sparse consistent tangent d f_int / d u, (3N, 3N) CSC.
 
     The element matrices
@@ -223,18 +257,17 @@ def tangent_stiffness(mesh, params, u, pre=None):
         K[a i, b k] = sum_q w dN_a/dX_K (F_iJ C_JKLM F_kL + S_KM d_ik) dN_b/dX_M
 
     come from batched matrix products, elements in chunks of ``_CHUNK``
-    written into one array, and are summed into the mesh's fixed
+    written into one array, and are summed into the model's fixed
     sparsity pattern with one scatter.  The matrix always has the same
     structure, so callers can slice its data by precomputed indices.
     """
-    pre = pre or _Precomputed(mesh)
-    f = _def_grad(pre, u)
-    s = mat.pk2_stress(params, f)
-    cc = mat.lagrangian_tangent(params, f)
+    model = model or Model(mesh)
+    f = model.def_grad(u)
+    s, cc = mat.lagrangian_tangent(params, f)
     n_q = f.shape[1]
     ft = f.swapaxes(-1, -2)
-    ke = np.empty((len(pre.tets), 10, 90))                 # [a, (b, k, i)]
-    for lo in range(0, len(pre.tets), _CHUNK):
+    ke = np.empty((len(f), 10, 90))                        # [a, (b, k, i)]
+    for lo in range(0, len(f), _CHUNK):
         sl = slice(lo, lo + _CHUNK)
         # A[K M, k i] = F_iJ C_JKLM F_kL, contracting L through the minor
         # symmetry C_JKLM = C_JKML
@@ -245,66 +278,48 @@ def tangent_stiffness(mesh, params, u, pre=None):
             a[..., i, i] += s[sl]
         # V[q K, b k i] = dN_b/dX_M A[K M, k i]; quadrature points fold into
         # the inner dimension of the product with w dN_a/dX_K
-        v = pre.dndx[sl, :, None] @ a.reshape(-1, n_q, 3, 3, 9)
-        np.matmul(pre.wdndx[sl], v.reshape(-1, 3 * n_q, 90), out=ke[sl])
-    return pre.pattern.matrix(pre.pattern.tet_pos, ke)
+        v = model.dndx[sl, :, None] @ a.reshape(-1, n_q, 3, 3, 9)
+        np.matmul(model.wdndx[sl], v.reshape(-1, 3 * n_q, 90), out=ke[sl])
+    return model.pattern.matrix(model.pattern.tet_pos, ke)
 
 
-class _FaceData:
-    """Reference data of a pressure face set; with ``pattern``, also the
-    positions of its load stiffness in that sparsity pattern."""
-
-    def __init__(self, mesh, face_set, pattern=None):
-        self.faces = mesh.face_set(face_set)
-        qp, self.w = tri_quadrature()
-        self.shape = tri6_shape(qp)                        # (q, 6)
-        self.grad = tri6_shape_grad(qp)                    # (q, 6, 2)
-        xf = mesh.nodes[self.faces]
-        t = np.einsum("fam,qad->fqmd", xf, self.grad)
-        self.ref_norm = np.linalg.norm(
-            np.cross(t[..., 0], t[..., 1]), axis=2)        # (K, q)
-        self.n_nodes = mesh.n_nodes
-        self.pattern = pattern
-        if pattern is not None:
-            self.pos = pattern.scatter(self.faces)
+def _face_geometry(x, faces):
+    """Tangents (K, q, 3, 2) and area vectors (K, q, 3) of ``faces`` at ``x``."""
+    t = np.einsum("fam,qad->fqmd", x[faces], _TRI_DN)
+    return t, np.cross(t[..., 0], t[..., 1])
 
 
-def _deformed_normals(fd, mesh, u):
-    xf = (mesh.nodes + u)[fd.faces]
-    t = np.einsum("fam,qad->fqmd", xf, fd.grad)
-    nvec = np.cross(t[..., 0], t[..., 1])
-    norms = np.linalg.norm(nvec, axis=2)
-    if np.any(norms < 1e-9 * fd.ref_norm):
+def _deformed_tangents(model, face_set, u):
+    """(faces, tangents, area vectors) of the deformed face set."""
+    faces, ref_norm = model.faces(face_set)
+    t, nvec = _face_geometry(model.mesh.nodes + u, faces)
+    if np.any(np.linalg.norm(nvec, axis=2) < 1e-9 * ref_norm):
         raise StepRejected("pressure face degenerated to zero area")
-    return t, nvec
+    return faces, t, nvec
 
 
-def pressure_force(mesh, pressure_kpa, u, face_set="cavity", fd=None):
+def pressure_force(mesh, pressure_kpa, u, face_set="cavity", *, model=None):
     """Follower load: nodal forces of ``pressure_kpa`` acting on the
     deformed face set, pushing the wall out of the cavity."""
-    fd = fd or _FaceData(mesh, face_set)
-    _, nvec = _deformed_normals(fd, mesh, u)
+    model = model or Model(mesh)
+    faces, _, nvec = _deformed_tangents(model, face_set, u)
     p = KPA_TO_MPA * pressure_kpa
-    fe = -p * np.einsum("qa,fqi,q->fai", fd.shape, nvec, fd.w)
-    out = np.zeros((fd.n_nodes, 3))
-    np.add.at(out, fd.faces, fe)
-    return out
+    fe = -p * np.einsum("qa,fqi,q->fai", _TRI_N, nvec, _TRI_W)
+    return _node_sum(faces, fe, mesh.n_nodes)
 
 
-def pressure_stiffness(mesh, pressure_kpa, u, face_set="cavity", fd=None):
-    """Sparse d f_pressure / d u; unsymmetric load stiffness.
-
-    Returned on the sparsity pattern of the tets, like
-    ``tangent_stiffness``; ``fd``, when given, must carry that pattern.
-    """
-    fd = fd or _FaceData(mesh, face_set, _Pattern(mesh))
-    t, _ = _deformed_normals(fd, mesh, u)
+def pressure_stiffness(mesh, pressure_kpa, u, face_set="cavity", *,
+                       model=None):
+    """Sparse d f_pressure / d u on the pattern of ``tangent_stiffness``;
+    the load stiffness is unsymmetric."""
+    model = model or Model(mesh)
+    _, t, _ = _deformed_tangents(model, face_set, u)
     p = KPA_TO_MPA * pressure_kpa
     a1 = np.einsum("imk,fqk->fqim", _EPS3, t[..., 1])
     a2 = np.einsum("ijm,fqj->fqim", _EPS3, t[..., 0])
-    ke = -p * (np.einsum("qa,q,fqim,qb->fabmi", fd.shape, fd.w, a1, fd.grad[:, :, 0])
-               + np.einsum("qa,q,fqim,qb->fabmi", fd.shape, fd.w, a2, fd.grad[:, :, 1]))
-    return fd.pattern.matrix(fd.pos, ke)
+    ke = -p * (np.einsum("qa,q,fqim,qb->fabmi", _TRI_N, _TRI_W, a1, _TRI_DN[:, :, 0])
+               + np.einsum("qa,q,fqim,qb->fabmi", _TRI_N, _TRI_W, a2, _TRI_DN[:, :, 1]))
+    return model.pattern.matrix(model.face_pos(face_set), ke)
 
 
 # ----------------------------------------------------------------- solver
@@ -351,8 +366,8 @@ def _check_supports(mesh, mask, pattern):
                          "is singular")
 
 
-def _newton(mesh, params, pre, fd, pressure_kpa, u0, free, block,
-            prescribed_u, full_newton=False):
+def _newton(mesh, params, model, face_set, pressure_kpa, u0, free, block,
+            prescribed_u):
     """Solve one pressure level; returns (u, iterations, residual history).
 
     ``block`` = (take, indices, indptr) slices the free-DOF tangent out
@@ -371,9 +386,9 @@ def _newton(mesh, params, pre, fd, pressure_kpa, u0, free, block,
     lu = None
     for it in range(MAX_NEWTON_ITERS):
         try:
-            fint = internal_force(mesh, params, u, pre)
-            fext = (pressure_force(mesh, pressure_kpa, u, fd=fd)
-                    if fd is not None else np.zeros_like(fint))
+            fint = internal_force(mesh, params, u, model=model)
+            fext = (pressure_force(mesh, pressure_kpa, u, face_set, model=model)
+                    if pressure_kpa > 0.0 else np.zeros_like(fint))
         except mat.InvalidDeformation as exc:
             raise StepRejected(str(exc)) from None
         resid = (fint - fext).reshape(-1)[free]
@@ -388,12 +403,12 @@ def _newton(mesh, params, pre, fd, pressure_kpa, u0, free, block,
             raise StepRejected(f"Newton diverged, residual {rnorm:.3e}")
         stalled = history and rnorm > 0.3 * history[-1]
         history.append(rnorm)
-        if lu is None or full_newton or stalled:
+        if lu is None or stalled:
             try:
-                data = tangent_stiffness(mesh, params, u, pre).data
-                if fd is not None:
+                data = tangent_stiffness(mesh, params, u, model=model).data
+                if pressure_kpa > 0.0:
                     data = data - pressure_stiffness(
-                        mesh, pressure_kpa, u, fd=fd).data
+                        mesh, pressure_kpa, u, face_set, model=model).data
             except mat.InvalidDeformation as exc:
                 raise StepRejected(str(exc)) from None
             kff = sparse.csc_matrix((data[take], indices, indptr),
@@ -409,8 +424,7 @@ def _newton(mesh, params, pre, fd, pressure_kpa, u0, free, block,
     raise StepRejected(f"no convergence in {MAX_NEWTON_ITERS} Newton iterations")
 
 
-def solve(mesh, params, case, prescribed=None, verbose=False,
-          full_newton=False):
+def solve(mesh, params, case, prescribed=None):
     """Ramp the pressure of ``case`` from zero to its target.
 
     ``prescribed`` optionally carries (mask, values) for inhomogeneous
@@ -418,15 +432,10 @@ def solve(mesh, params, case, prescribed=None, verbose=False,
     load.  Returns a Solution whose first increment is the reference
     state.  Raises SolveError when the supports leave a rigid-body mode
     or an element-free node unconstrained, or when an increment cannot
-    be converged even after ``MAX_BISECTIONS`` halvings.
-    ``full_newton`` rebuilds the tangent every iteration instead of
-    reusing factorizations.
+    be converged even after ``MAX_BISECTIONS`` halvings.  Accepted
+    increments and bisections are logged at INFO on ``pneusoft.fea``.
     """
-    pre = _Precomputed(mesh)
-    fd = None
-    if case.target_pressure_kpa > 0.0:
-        fd = _FaceData(mesh, case.pressure_set, pre.pattern)
-
+    model = Model(mesh)
     mask = _fixed_mask(mesh, case)
     values = np.zeros((mesh.n_nodes, 3))
     if prescribed is not None:
@@ -434,8 +443,8 @@ def solve(mesh, params, case, prescribed=None, verbose=False,
         mask = mask | pmask
         values = np.where(pmask, pvalues, values)
     free = ~mask.reshape(-1)
-    _check_supports(mesh, mask, pre.pattern)
-    block = pre.pattern.free_block(free)
+    _check_supports(mesh, mask, model.pattern)
+    block = model.pattern.free_block(free)
 
     u = np.zeros((mesh.n_nodes, 3))
     sol = Solution(pressures_kpa=np.zeros(1), displacements=[u.copy()])
@@ -462,9 +471,9 @@ def solve(mesh, params, case, prescribed=None, verbose=False,
             for u_start in starts:
                 try:
                     un, iters, hist = _newton(
-                        mesh, params, pre, fd, trial * target, u_start, free,
-                        block, trial * values if prescribed is not None else None,
-                        full_newton=full_newton)
+                        mesh, params, model, case.pressure_set,
+                        trial * target, u_start, free, block,
+                        trial * values if prescribed is not None else None)
                     break
                 except StepRejected as exc:
                     last_exc = exc
@@ -476,8 +485,8 @@ def solve(mesh, params, case, prescribed=None, verbose=False,
                 raise SolveError(
                     f"increment at {trial * target:.4g} kPa failed after "
                     f"{MAX_BISECTIONS} bisections: {exc}") from exc
-            if verbose:
-                print(f"  bisect: {exc}; retry with dt={dt:.4g}")
+            log.info("bisect at %.4g kPa: %s; retry with dt=%.4g",
+                     trial * target, exc, dt)
             continue
         u_prev, dt_prev = u, dt
         t, u = trial, un
@@ -485,9 +494,8 @@ def solve(mesh, params, case, prescribed=None, verbose=False,
         sol.displacements.append(u.copy())
         sol.log.append({"pressure_kpa": t * target, "iterations": iters,
                         "residuals": hist})
-        if verbose:
-            print(f"  p={t * target:9.3f} kPa  iters={iters}  "
-                  f"resid={hist[-1]:.3e}")
+        log.info("p=%9.3f kPa  iters=%d  resid=%.3e", t * target, iters,
+                 hist[-1])
         dt = min(dt0, dt * 2.0)
     sol.pressures_kpa = np.asarray(pressures)
     return sol

@@ -76,10 +76,7 @@ class DeformationState:
         f = np.asarray(f, dtype=float)
         if f.shape[-2:] != (3, 3):
             raise ValueError(f"deformation gradient must be (..., 3, 3), got {f.shape}")
-        j = np.linalg.det(f)
-        if np.any(j <= 0.0):
-            raise InvalidDeformation(f"det F must be positive, min is {np.min(j):.3g}")
-        i1 = np.einsum("...ki,...ki->...", f, f)
+        j, _, i1 = _kinematics(f)
         return cls(f=f, j=j, i1bar=j ** (-2.0 / 3.0) * i1)
 
 
@@ -103,20 +100,26 @@ def cauchy_stress(params, state):
     return sig
 
 
-def pk2_stress(params, f):
-    """Second Piola-Kirchhoff stress from stacked gradients (..., 3, 3)."""
+def _kinematics(f):
+    """(J, C^-1, I1) of stacked gradients; InvalidDeformation unless J > 0."""
     f = np.asarray(f, dtype=float)
     j = np.linalg.det(f)
     if np.any(j <= 0.0):
         raise InvalidDeformation(f"det F must be positive, min is {np.min(j):.3g}")
     c = np.einsum("...ki,...kj->...ij", f, f)
-    cinv = np.linalg.inv(c)
-    i1 = np.einsum("...ii->...", c)
-    jm23 = j ** (-2.0 / 3.0)
-    s = 2.0 * params.c10 * jm23[..., None, None] * (
+    return j, np.linalg.inv(c), np.einsum("...ii->...", c)
+
+
+def _pk2(params, j, cinv, i1):
+    s = 2.0 * params.c10 * (j ** (-2.0 / 3.0))[..., None, None] * (
         _EYE - (i1 / 3.0)[..., None, None] * cinv)
     s += (params.kappa * (j - 1.0) * j)[..., None, None] * cinv
     return s
+
+
+def pk2_stress(params, f):
+    """Second Piola-Kirchhoff stress from stacked gradients (..., 3, 3)."""
+    return _pk2(params, *_kinematics(f))
 
 
 def pk1_stress(params, f):
@@ -125,24 +128,13 @@ def pk1_stress(params, f):
                      pk2_stress(params, f))
 
 
-def material_tangent(params, state):
-    """Lagrangian elasticity tensor 2 dS/dC, shape (..., 3, 3, 3, 3).
-
-    This is the tensor contracted against dC increments in the solver
-    linearization, so it is exactly the derivative of the stress measure
-    that builds the residual.  Minor symmetry holds in both index pairs.
-    """
-    return lagrangian_tangent(params, state.f)
-
-
 def lagrangian_tangent(params, f):
-    f = np.asarray(f, dtype=float)
-    j = np.linalg.det(f)
-    if np.any(j <= 0.0):
-        raise InvalidDeformation(f"det F must be positive, min is {np.min(j):.3g}")
-    c = np.einsum("...ki,...kj->...ij", f, f)
-    cinv = np.linalg.inv(c)
-    i1 = np.einsum("...ii->...", c)
+    """(S, 2 dS/dC) from one evaluation of J, C^-1 and I1: S exactly as
+    ``pk2_stress`` and the Lagrangian elasticity tensor (..., 3, 3, 3, 3),
+    the derivative of S contracted against dC increments in the solver
+    linearization.  Minor symmetry holds in both index pairs.
+    """
+    j, cinv, i1 = _kinematics(f)
     jm23 = (j ** (-2.0 / 3.0))[..., None, None, None, None]
     i1_ = i1[..., None, None, None, None]
     j_ = j[..., None, None, None, None]
@@ -157,7 +149,7 @@ def lagrangian_tangent(params, f):
         (i1_ / 3.0) * ct_x_ct - eye_x_ct - ct_x_eye + i1_ * ct_o_ct)
     cc += params.kappa * j_ * ((2.0 * j_ - 1.0) * ct_x_ct
                                - 2.0 * (j_ - 1.0) * ct_o_ct)
-    return cc
+    return _pk2(params, j, cinv, i1), cc
 
 
 def calibrate_c10(pressures, displacements, forward_model,

@@ -102,12 +102,12 @@ def check_gradient(cfg=None, n_states=100, seed=20260814):
     mesh = geometry.generate_mesh(
         geometry.ActuatorSpec(kind="cube", element_size=0.5))
     pm = _material(cfg)
-    pre = fea._Precomputed(mesh)
+    model = fea.Model(mesh)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         pocket = geometry.generate_mesh(
             geometry.ActuatorSpec(kind="pocket", element_size=2.5))
-    fd = fea._FaceData(pocket, "cavity", fea._Pattern(pocket))
+    pocket_model = fea.Model(pocket)
     rng = np.random.default_rng(seed)
     h = 1e-5
     worst_force = worst_tangent = worst_press = 0.0
@@ -116,16 +116,16 @@ def check_gradient(cfg=None, n_states=100, seed=20260814):
             u = 0.02 * rng.standard_normal((mesh.n_nodes, 3))
             v = rng.standard_normal((mesh.n_nodes, 3))
             v /= np.linalg.norm(v)
-            ep = fea.total_strain_energy(mesh, pm, u + h * v, pre)
-            em = fea.total_strain_energy(mesh, pm, u - h * v, pre)
-            f = fea.internal_force(mesh, pm, u, pre)
+            ep = fea.total_strain_energy(mesh, pm, u + h * v, model=model)
+            em = fea.total_strain_energy(mesh, pm, u - h * v, model=model)
+            f = fea.internal_force(mesh, pm, u, model=model)
             dot = float(np.sum(f * v))
             scale = max(abs(dot), 1e-9)
             worst_force = max(worst_force, abs((ep - em) / (2 * h) - dot)
                               / scale)
-            fp = fea.internal_force(mesh, pm, u + h * v, pre)
-            fm = fea.internal_force(mesh, pm, u - h * v, pre)
-            kt = fea.tangent_stiffness(mesh, pm, u, pre)
+            fp = fea.internal_force(mesh, pm, u + h * v, model=model)
+            fm = fea.internal_force(mesh, pm, u - h * v, model=model)
+            kt = fea.tangent_stiffness(mesh, pm, u, model=model)
             kv = (kt @ v.reshape(-1)).reshape(-1, 3)
             num = (fp - fm) / (2 * h)
             worst_tangent = max(
@@ -137,9 +137,9 @@ def check_gradient(cfg=None, n_states=100, seed=20260814):
             v = rng.standard_normal((pocket.n_nodes, 3))
             v /= np.linalg.norm(v)
             p = 30.0
-            fp = fea.pressure_force(pocket, p, u + h * v, fd=fd)
-            fm = fea.pressure_force(pocket, p, u - h * v, fd=fd)
-            kp = fea.pressure_stiffness(pocket, p, u, fd=fd)
+            fp = fea.pressure_force(pocket, p, u + h * v, model=pocket_model)
+            fm = fea.pressure_force(pocket, p, u - h * v, model=pocket_model)
+            kp = fea.pressure_stiffness(pocket, p, u, model=pocket_model)
             kv = (kp @ v.reshape(-1)).reshape(-1, 3)
             num = (fp - fm) / (2 * h)
             worst_press = max(
@@ -247,11 +247,10 @@ def check_incompressibility(cfg=None, pressure_kpa=40.0):
             geometry.ActuatorSpec(kind="pocket", element_size=2.0))
     case = fea.LoadCase(target_pressure_kpa=pressure_kpa, increments=8)
     sol = fea.solve(mesh, pm, case)
-    pre = fea._Precomputed(mesh)
-    f = fea._def_grad(pre, sol.final_u())
-    detjw = pre.detjw
-    v0 = float(detjw.sum())
-    v1 = float((np.linalg.det(f) * detjw).sum())
+    model = fea.Model(mesh)
+    f = model.def_grad(sol.final_u())
+    v0 = float(model.detjw.sum())
+    v1 = float((np.linalg.det(f) * model.detjw).sum())
     rel = abs(v1 - v0) / v0
     return _result("incompressibility", t0, rel < 5e-3,
                    f"solid volume change {rel:.2%} at {pressure_kpa:g} kPa "

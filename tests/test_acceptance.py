@@ -50,11 +50,9 @@ def test_criterion_02_stress_patch():
     mask = np.repeat(on_boundary[:, None], 3, axis=1)
     case = fea.LoadCase(target_pressure_kpa=0.0, increments=1,
                         fixed_set=None, pressure_set=None)
-    sol = fea.solve(m, PARAMS, case, prescribed=(mask, target),
-                    full_newton=True)
+    sol = fea.solve(m, PARAMS, case, prescribed=(mask, target))
 
-    pre = fea._Precomputed(m)
-    f = fea._def_grad(pre, sol.final_u()).reshape(-1, 3, 3)
+    f = fea.Model(m).def_grad(sol.final_u()).reshape(-1, 3, 3)
     s = material.pk2_stress(PARAMS, f)
     s_exact = material.pk2_stress(PARAMS, np.eye(3) + grad)
     rel = float(np.max(np.abs(s - s_exact)) / np.max(np.abs(s_exact)))
@@ -68,7 +66,7 @@ def test_criterion_02_stress_patch():
 
 def test_criterion_03_closed_cavity():
     m = geometry.generate_mesh(geometry.ActuatorSpec(kind="pocket"))
-    fd = fea._FaceData(m, "cavity")
+    model = fea.Model(m)
     _, area = meshmod.face_normal_sum(m, "cavity")
     p = 30.0
     tol = 1e-8 * fea.KPA_TO_MPA * p * area
@@ -77,7 +75,7 @@ def test_criterion_03_closed_cavity():
     for _ in range(5):
         g = 0.08 * rng.standard_normal((3, 3))
         u = m.nodes @ g.T + 0.3 * np.sin(m.nodes / 2.5 + rng.standard_normal(3))
-        force = fea.pressure_force(m, p, u, fd=fd)
+        force = fea.pressure_force(m, p, u, model=model)
         worst_force = max(worst_force,
                           float(np.linalg.norm(force.sum(axis=0))))
         moment = np.cross(m.nodes + u, force).sum(axis=0)

@@ -1,7 +1,12 @@
 """Total-Lagrangian kernels: forces, tangents, pressure loads, solver."""
 
+import logging
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from pneusoft import fea, geometry, material
 from pneusoft import mesh as meshmod
@@ -48,32 +53,32 @@ def test_internal_force_vanishes_for_rigid_motion(small_cube):
 
 
 def test_internal_force_is_energy_gradient(small_cube):
-    pre = fea._Precomputed(small_cube)
+    model = fea.Model(small_cube)
     h = 1e-6
     for seed in range(5):
         u = _random_displacement(small_cube, seed)
-        f = fea.internal_force(small_cube, PARAMS, u, pre)
+        f = fea.internal_force(small_cube, PARAMS, u, model=model)
         rng = np.random.default_rng(100 + seed)
         v = rng.standard_normal(u.shape)
         v /= np.linalg.norm(v)
-        wp = fea.total_strain_energy(small_cube, PARAMS, u + h * v, pre)
-        wm = fea.total_strain_energy(small_cube, PARAMS, u - h * v, pre)
+        wp = fea.total_strain_energy(small_cube, PARAMS, u + h * v, model=model)
+        wm = fea.total_strain_energy(small_cube, PARAMS, u - h * v, model=model)
         directional = (wp - wm) / (2.0 * h)
         assert directional == pytest.approx(float(np.sum(f * v)),
                                             rel=1e-6, abs=1e-10)
 
 
 def test_tangent_matches_force_differences(small_cube):
-    pre = fea._Precomputed(small_cube)
+    model = fea.Model(small_cube)
     h = 1e-6
     for seed in range(3):
         u = _random_displacement(small_cube, seed)
-        kt = fea.tangent_stiffness(small_cube, PARAMS, u, pre)
+        kt = fea.tangent_stiffness(small_cube, PARAMS, u, model=model)
         rng = np.random.default_rng(200 + seed)
         v = rng.standard_normal(u.shape)
         v /= np.linalg.norm(v)
-        fp = fea.internal_force(small_cube, PARAMS, u + h * v, pre)
-        fm = fea.internal_force(small_cube, PARAMS, u - h * v, pre)
+        fp = fea.internal_force(small_cube, PARAMS, u + h * v, model=model)
+        fm = fea.internal_force(small_cube, PARAMS, u - h * v, model=model)
         fd = (fp - fm).reshape(-1) / (2.0 * h)
         kv = kt @ v.reshape(-1)
         assert np.linalg.norm(kv - fd) < 1e-5 * np.linalg.norm(fd)
@@ -82,12 +87,12 @@ def test_tangent_matches_force_differences(small_cube):
 def _reference_tangent(mesh, u):
     """Dense tangent summed one element at a time from the 6-index
     einsum formula, K = int dN (F C F + S I) dN."""
-    pre = fea._Precomputed(mesh)
+    model = fea.Model(mesh)
     k = np.zeros((3 * mesh.n_nodes, 3 * mesh.n_nodes))
-    for conn, dndx, detjw in zip(mesh.tets, pre.dndx, pre.detjw):
+    for conn, dndx, detjw in zip(mesh.tets, model.dndx, model.detjw):
         f = np.eye(3) + np.einsum("am,qaj->qmj", u[conn], dndx)
         s = material.pk2_stress(PARAMS, f)
-        cc = material.lagrangian_tangent(PARAMS, f)
+        _, cc = material.lagrangian_tangent(PARAMS, f)
         fcf = np.einsum("qiJ,qJKLM,qkL->qiKkM", f, cc, f)
         ke = np.einsum("qaK,qiKkM,qbM,q->aibk", dndx, fcf, dndx, detjw)
         kgeo = np.einsum("qaJ,qJL,qbL,q->ab", dndx, s, dndx, detjw)
@@ -163,6 +168,38 @@ def test_pressure_faces_outside_tet_pattern_rejected(pocket_coarse):
         fea.solve(m, PARAMS, case)
 
 
+def test_model_and_mesh_only_calls_agree(pocket_coarse):
+    # a passed Model and the one each call builds from the mesh give
+    # identical results
+    model = fea.Model(pocket_coarse)
+    u = _random_displacement(pocket_coarse, 3)
+    for layer, args in ((fea.total_strain_energy, (PARAMS, u)),
+                        (fea.internal_force, (PARAMS, u)),
+                        (fea.tangent_stiffness, (PARAMS, u)),
+                        (fea.pressure_force, (30.0, u)),
+                        (fea.pressure_stiffness, (30.0, u))):
+        got = layer(pocket_coarse, *args, model=model)
+        want = layer(pocket_coarse, *args)
+        if sparse.issparse(want):
+            got = (got.indptr, got.indices, got.data)
+            want = (want.indptr, want.indices, want.data)
+        else:
+            got, want = (got,), (want,)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), layer.__name__
+
+
+def test_no_private_fea_names_outside_fea():
+    # other modules and the tests reach fea only through its public names
+    root = Path(__file__).resolve().parent.parent
+    files = [p for p in sorted((root / "src" / "pneusoft").glob("*.py"))
+             if p.name != "fea.py"] + sorted((root / "tests").glob("*.py"))
+    hits = [f"{p.name}:{n}: {line.strip()}" for p in files
+            for n, line in enumerate(p.read_text().splitlines(), 1)
+            if re.search(r"fea\._[A-Za-z]", line)]
+    assert not hits
+
+
 def test_reference_tangent_spectrum(small_cube):
     kt = fea.tangent_stiffness(
         small_cube, PARAMS, np.zeros((small_cube.n_nodes, 3))).toarray()
@@ -213,13 +250,13 @@ def test_pressure_face_degeneracy_rejected():
 
 
 def test_closed_cavity_loads_balance(pocket_coarse):
-    fd = fea._FaceData(pocket_coarse, "cavity")
+    model = fea.Model(pocket_coarse)
     _, area = meshmod.face_normal_sum(pocket_coarse, "cavity")
     p = 30.0
     tol = 1e-8 * fea.KPA_TO_MPA * p * area
     for seed in range(3):
         u = _random_displacement(pocket_coarse, seed)
-        f = fea.pressure_force(pocket_coarse, p, u, fd=fd)
+        f = fea.pressure_force(pocket_coarse, p, u, model=model)
         x = pocket_coarse.nodes + u
         force = f.sum(axis=0)
         moment = np.cross(x, f).sum(axis=0)
@@ -278,6 +315,17 @@ def test_singular_factor_ends_in_solve_error(pocket_coarse, monkeypatch):
     case = fea.LoadCase(target_pressure_kpa=10.0, increments=1)
     with pytest.raises(fea.SolveError, match="exactly singular"):
         fea.solve(pocket_coarse, PARAMS, case)
+
+
+def test_bisections_are_logged(pocket_coarse, caplog):
+    case = fea.LoadCase(target_pressure_kpa=1e5, increments=1)
+    with caplog.at_level(logging.INFO, logger="pneusoft.fea"):
+        with pytest.raises(fea.SolveError):
+            fea.solve(pocket_coarse, PARAMS, case)
+    bisections = [r.getMessage() for r in caplog.records
+                  if r.name == "pneusoft.fea" and "bisect" in r.getMessage()]
+    assert bisections
+    assert all("det F must be positive" in m for m in bisections)
 
 
 def test_solve_missing_sets_raise(pocket_coarse):
@@ -361,8 +409,8 @@ def test_solution_under_rotated_frame():
     m_rot = meshmod.Mesh(nodes=m.nodes @ r.T, tets=m.tets,
                          node_sets=m.node_sets, face_sets=m.face_sets)
     case = fea.LoadCase(target_pressure_kpa=20.0, increments=4)
-    sol = fea.solve(m, PARAMS, case, full_newton=True)
-    sol_rot = fea.solve(m_rot, PARAMS, case, full_newton=True)
+    sol = fea.solve(m, PARAMS, case)
+    sol_rot = fea.solve(m_rot, PARAMS, case)
     assert sol.n_increments == sol_rot.n_increments
     for u, u_rot in zip(sol.displacements[1:], sol_rot.displacements[1:]):
         a, b = np.linalg.norm(u), np.linalg.norm(u_rot)

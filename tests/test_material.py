@@ -189,7 +189,7 @@ def test_tangent_matches_stress_differences():
     dfs = rng.standard_normal(fs.shape)
     dfs /= np.linalg.norm(dfs, axis=(1, 2))[:, None, None]
     h = 1e-5
-    cc = material.lagrangian_tangent(PARAMS, fs)
+    _, cc = material.lagrangian_tangent(PARAMS, fs)
     dc = (np.einsum("nki,nkj->nij", dfs, fs)
           + np.einsum("nki,nkj->nij", fs, dfs))
     ds_pred = 0.5 * np.einsum("nijkl,nkl->nij", cc, dc)
@@ -201,16 +201,14 @@ def test_tangent_matches_stress_differences():
 
 def test_tangent_symmetries_and_alias():
     fs = _random_gradients(10, seed=14)
-    cc = material.lagrangian_tangent(PARAMS, fs)
+    s, cc = material.lagrangian_tangent(PARAMS, fs)
+    assert np.array_equal(s, material.pk2_stress(PARAMS, fs))
     assert np.allclose(cc, np.einsum("nijkl->njikl", cc),
                        rtol=1e-10, atol=1e-12)
     assert np.allclose(cc, np.einsum("nijkl->nijlk", cc),
                        rtol=1e-10, atol=1e-12)
     assert np.allclose(cc, np.einsum("nijkl->nklij", cc),
                        rtol=1e-10, atol=1e-12)
-    states = material.DeformationState.from_gradient(fs[0])
-    assert np.allclose(material.material_tangent(PARAMS, states),
-                       cc[0], rtol=1e-12, atol=1e-14)
 
 
 def test_rigid_increment_rotates_stress():
@@ -220,7 +218,7 @@ def test_rigid_increment_rotates_stress():
     rng = np.random.default_rng(16)
     s = material.pk2_stress(PARAMS, fs)
     p = material.pk1_stress(PARAMS, fs)
-    cc = material.lagrangian_tangent(PARAMS, fs)
+    _, cc = material.lagrangian_tangent(PARAMS, fs)
     for n in range(len(fs)):
         w = rng.standard_normal(3)
         omega = np.array([[0.0, -w[2], w[1]],
