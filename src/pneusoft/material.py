@@ -101,13 +101,20 @@ def cauchy_stress(params, state):
 
 
 def _kinematics(f):
-    """(J, C^-1, I1) of stacked gradients; InvalidDeformation unless J > 0."""
+    """(J, C^-1, I1) of stacked gradients; InvalidDeformation unless J > 0.
+
+    J is the cofactor expansion of det F along its first row, and C^-1
+    the cofactor matrix of the symmetric C over det C = J^2.
+    """
     f = np.asarray(f, dtype=float)
-    j = np.linalg.det(f)
+    j = np.einsum("...i,...i->...", f[..., 0, :],
+                  np.cross(f[..., 1, :], f[..., 2, :]))
     if np.any(j <= 0.0):
         raise InvalidDeformation(f"det F must be positive, min is {np.min(j):.3g}")
     c = np.einsum("...ki,...kj->...ij", f, f)
-    return j, np.linalg.inv(c), np.einsum("...ii->...", c)
+    # row i of the cofactor matrix is row i+1 x row i+2
+    cof = np.cross(c[..., [1, 2, 0], :], c[..., [2, 0, 1], :])
+    return j, cof / (j * j)[..., None, None], np.einsum("...ii->...", c)
 
 
 def _pk2(params, j, cinv, i1):

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from pneusoft import fea, geometry, material
 from pneusoft import mesh as meshmod
@@ -134,7 +135,7 @@ def test_newton_factors_free_block_of_pattern(pocket_coarse, monkeypatch):
 
     record("tangent_stiffness", fea.tangent_stiffness)
     record("pressure_stiffness", fea.pressure_stiffness)
-    record("splu", lambda k: k)
+    record("splu", lambda k, **kwargs: k)
     case = fea.LoadCase(target_pressure_kpa=20.0, increments=1)
     with pytest.raises(_Stop):
         fea.solve(pocket_coarse, PARAMS, case)
@@ -308,13 +309,93 @@ def test_solve_rejects_orphan_node(pocket_coarse):
 
 
 def test_singular_factor_ends_in_solve_error(pocket_coarse, monkeypatch):
-    def singular(k):
+    def singular(k, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(fea, "splu", singular)
     case = fea.LoadCase(target_pressure_kpa=10.0, increments=1)
     with pytest.raises(fea.SolveError, match="exactly singular"):
         fea.solve(pocket_coarse, PARAMS, case)
+
+
+POCKET_RAMP = fea.LoadCase(target_pressure_kpa=20.0, increments=2)
+
+
+@pytest.fixture(scope="module")
+def pocket_ramp(pocket_coarse):
+    return fea.solve(pocket_coarse, PARAMS, POCKET_RAMP)
+
+
+def _patch_fast_splu(monkeypatch, fast):
+    """Route the splu calls that carry SuperLU options through ``fast``."""
+    def call(k, **kwargs):
+        return fast(k, **kwargs) if kwargs else splu(k)
+
+    monkeypatch.setattr(fea, "splu", call)
+
+
+def _assert_same_solution(sol, ref):
+    assert np.allclose(sol.pressures_kpa, ref.pressures_kpa)
+    scale = np.max(np.abs(ref.final_u()))
+    assert np.max(np.abs(sol.final_u() - ref.final_u())) < fea.REL_TOL * scale
+
+
+def test_fast_factor_solve_matches_partial_pivoting(pocket_coarse, monkeypatch):
+    calls = []
+
+    def spy(k, **kwargs):
+        calls.append((k, kwargs))
+        return splu(k, **kwargs)
+
+    monkeypatch.setattr(fea, "splu", spy)
+    sol = fea.solve(pocket_coarse, PARAMS, POCKET_RAMP)
+    assert all(kwargs for _, kwargs in calls)
+    assert sum(rec["factorizations"] for rec in sol.log) == len(calls)
+    assert all(rec["fallbacks"] == 0 for rec in sol.log)
+    kff, kwargs = calls[-1]
+    b = np.random.default_rng(3).standard_normal(kff.shape[0])
+    want = splu(kff).solve(b)
+    got = splu(kff, **kwargs).solve(b)
+    assert np.linalg.norm(got - want) < 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("error", [1e-3, np.nan])
+def test_inaccurate_fast_solve_falls_back(pocket_coarse, pocket_ramp,
+                                          monkeypatch, caplog, error):
+    class Perturbed:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            return self.lu.solve(rhs) * (1.0 + error)
+
+    _patch_fast_splu(monkeypatch, lambda k, **kw: Perturbed(splu(k, **kw)))
+    with caplog.at_level(logging.INFO, logger="pneusoft.fea"):
+        sol = fea.solve(pocket_coarse, PARAMS, POCKET_RAMP)
+    _assert_same_solution(sol, pocket_ramp)
+    for rec in sol.log[1:]:
+        assert rec["fallbacks"] >= 1
+        assert rec["factorizations"] == 2 * rec["fallbacks"]
+    messages = [r.getMessage() for r in caplog.records if "COLAMD" in r.getMessage()]
+    assert len(messages) == sum(rec["fallbacks"] for rec in sol.log)
+    assert all("back-solve residual" in m for m in messages)
+
+
+def test_failed_fast_factor_falls_back(pocket_coarse, pocket_ramp, monkeypatch,
+                                       caplog):
+    def fail(k, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    _patch_fast_splu(monkeypatch, fail)
+    with caplog.at_level(logging.INFO, logger="pneusoft.fea"):
+        sol = fea.solve(pocket_coarse, PARAMS, POCKET_RAMP)
+    _assert_same_solution(sol, pocket_ramp)
+    # each factorization is a failed fast attempt plus its fallback
+    assert [(rec["factorizations"], rec["fallbacks"]) for rec in sol.log] == [
+        (2 * rec["factorizations"], rec["factorizations"])
+        for rec in pocket_ramp.log]
+    assert any("fast factorization failed: Factor is exactly singular"
+               in r.getMessage() for r in caplog.records)
 
 
 def test_bisections_are_logged(pocket_coarse, caplog):
