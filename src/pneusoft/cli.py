@@ -102,7 +102,8 @@ def _cmd_solve(args):
     msh = _load_or_build_mesh(args)
     params = cfgmod.material_params(cfg)
     fixed, extra = _supports(msh)
-    increments = args.increments or cfg["solver.increments"]
+    increments = (cfg["solver.increments"] if args.increments is None
+                  else args.increments)
     case = fea.LoadCase(target_pressure_kpa=args.pressure,
                         increments=increments, fixed_set=fixed,
                         extra_fixed=extra)

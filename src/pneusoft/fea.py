@@ -85,6 +85,9 @@ class LoadCase:
     extra_fixed: tuple = ()
 
     def __post_init__(self):
+        if not math.isfinite(self.target_pressure_kpa):
+            raise ValueError("target pressure must be finite, got "
+                             f"{self.target_pressure_kpa} kPa")
         if self.target_pressure_kpa < 0:
             raise ValueError("vacuum loading is not supported; "
                              f"got {self.target_pressure_kpa} kPa")

@@ -1,11 +1,15 @@
 """Self-contained correctness checks runnable from the command line.
 
-The quick suite covers the discrete mechanics (derivative consistency,
-patch test, closed-cavity equilibrium) and the valve-loop closed form;
-the full suite adds the near-incompressibility guarantee and a coarse
-solve of the thick-walled cylinder against its plane-strain closed
-form.  Every check returns a CheckResult instead of raising, so one
-bad configuration fails the run without hiding later checks.
+Each check has one implementation, here; acceptance criteria 1, 2, 3
+and 5 and the tube test call the same functions.  The quick suite
+covers the discrete mechanics (derivative consistency, patch test on
+displacement and stress, closed-cavity force and moment balance) and
+the valve-loop closed form against the plant stepped phase by phase;
+the full suite adds the near-incompressibility guarantee and one coarse
+(2.5 mm) tube solve against the plane-strain closed form at every
+increment from 5 kPa.  Every check takes only the configuration and
+returns a CheckResult instead of raising, so one bad configuration
+fails the run without hiding later checks.
 """
 
 import math
@@ -20,6 +24,7 @@ from scipy.optimize import brentq
 from . import config as cfgmod
 from . import fea, geometry, pneumatics
 from . import material as mat
+from .mesh import face_normal_sum
 
 
 @dataclass(frozen=True)
@@ -77,9 +82,7 @@ CYLINDER_FIXED = (("end0", "z"), ("end1", "z"), ("xaxis", "y"),
                   ("yaxis", "x"))
 
 
-def solve_cylinder(element_size, pressure_kpa=50.0, increments=10,
-                   c10_mpa=None):
-    """Plane-strain tube inflation; returns the mean inner expansion, mm."""
+def _cylinder_solution(element_size, pressure_kpa, increments, c10_mpa):
     spec = geometry.ActuatorSpec(kind="tube", element_size=element_size)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -89,13 +92,20 @@ def solve_cylinder(element_size, pressure_kpa=50.0, increments=10,
     case = fea.LoadCase(target_pressure_kpa=pressure_kpa,
                         increments=increments, fixed_set=None,
                         extra_fixed=CYLINDER_FIXED)
-    sol = fea.solve(mesh, params, case)
+    return mesh, fea.solve(mesh, params, case)
+
+
+def solve_cylinder(element_size, pressure_kpa=50.0, increments=10,
+                   c10_mpa=None):
+    """Plane-strain tube inflation; returns the mean inner expansion, mm."""
+    mesh, sol = _cylinder_solution(element_size, pressure_kpa, increments,
+                                   c10_mpa)
     return float(fea.measure_radial_expansion(mesh, sol)[-1])
 
 
 # ------------------------------------------------------------- checks
 
-def check_gradient(cfg=None, n_states=100, seed=20260814):
+def check_gradient(cfg=None):
     """Energy, internal force, tangent and pressure terms agree with
     central finite differences over random admissible states."""
     t0 = time.perf_counter()
@@ -108,7 +118,8 @@ def check_gradient(cfg=None, n_states=100, seed=20260814):
         pocket = geometry.generate_mesh(
             geometry.ActuatorSpec(kind="pocket", element_size=2.5))
     pocket_model = fea.Model(pocket)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(20260814)
+    n_states = 100
     h = 1e-5
     worst_force = worst_tangent = worst_press = 0.0
     for k in range(n_states):
@@ -154,7 +165,8 @@ def check_gradient(cfg=None, n_states=100, seed=20260814):
 
 
 def check_patch(cfg=None):
-    """Affine boundary displacement reproduces the affine field inside."""
+    """Affine boundary displacement reproduces the affine field inside
+    and its homogeneous PK2 stress at every quadrature point."""
     t0 = time.perf_counter()
     mesh = geometry.generate_mesh(
         geometry.ActuatorSpec(kind="cube", element_size=0.25))
@@ -170,70 +182,80 @@ def check_patch(cfg=None):
     values = x @ grad.T
     case = fea.LoadCase(target_pressure_kpa=0.0, increments=1,
                         fixed_set=None, pressure_set=None)
-    sol = fea.solve(mesh, pm, case, prescribed=(mask, values))
-    err = float(np.max(np.abs(sol.final_u() - values)))
-    return _result("patch", t0, err < 1e-10,
-                   f"max deviation from affine field {err:.2e} (tol 1e-10)")
+    u = fea.solve(mesh, pm, case, prescribed=(mask, values)).final_u()
+    disp = float(np.max(np.abs(u - values)))
+    s = mat.pk2_stress(pm, fea.Model(mesh).def_grad(u).reshape(-1, 3, 3))
+    s_exact = mat.pk2_stress(pm, np.eye(3) + grad)
+    stress = float(np.max(np.abs(s - s_exact)) / np.max(np.abs(s_exact)))
+    return _result(
+        "patch", t0, disp < 1e-10 and stress < 1e-10,
+        f"max deviation from affine field {disp:.2e} mm, relative PK2 "
+        f"stress deviation {stress:.2e} (tol 1e-10 each)")
 
 
-def check_closed_cavity(cfg=None, pressure_kpa=30.0, seed=7):
-    """Pressure on a sealed cavity exerts no net force or moment."""
+def check_closed_cavity(cfg=None):
+    """Pressure on a sealed cavity exerts no net force or moment in any
+    of five random deformed states."""
     t0 = time.perf_counter()
     mesh = geometry.generate_mesh(
         geometry.ActuatorSpec(kind="pocket", element_size=1.0))
-    from .mesh import face_normal_sum
+    model = fea.Model(mesh)
     _, area = face_normal_sum(mesh, "cavity")
-    rng = np.random.default_rng(seed)
-    grad = 0.05 * rng.standard_normal((3, 3))
-    u = mesh.nodes @ grad.T
-    u += 0.3 * np.sin(mesh.nodes / 2.0)
-    f = fea.pressure_force(mesh, pressure_kpa, u, face_set="cavity")
-    net = float(np.linalg.norm(f.sum(axis=0)))
-    x = mesh.nodes + u
-    moment = float(np.linalg.norm(np.cross(x, f).sum(axis=0)))
-    tol = 1e-8 * pressure_kpa * fea.KPA_TO_MPA * area
-    ok = net < tol and moment < tol * 50.0
+    p = 30.0
+    tol = 1e-8 * p * fea.KPA_TO_MPA * area
+    rng = np.random.default_rng(7)
+    worst_force = worst_moment = 0.0
+    for _ in range(5):
+        grad = 0.08 * rng.standard_normal((3, 3))
+        u = mesh.nodes @ grad.T \
+            + 0.3 * np.sin(mesh.nodes / 2.5 + rng.standard_normal(3))
+        f = fea.pressure_force(mesh, p, u, model=model)
+        worst_force = max(worst_force, float(np.linalg.norm(f.sum(axis=0))))
+        moment = np.cross(mesh.nodes + u, f).sum(axis=0)
+        worst_moment = max(worst_moment, float(np.linalg.norm(moment)))
     return _result(
-        "closed-cavity", t0, ok,
-        f"|net force| {net:.2e} (tol {tol:.2e}), |net moment| {moment:.2e}")
+        "closed-cavity", t0, worst_force < tol and worst_moment < tol,
+        f"|net force| {worst_force:.2e} N, |net moment| {worst_moment:.2e} "
+        f"N mm (tol {tol:.2e} each) over 5 states")
 
 
-def check_valve_swing(cfg=None, n_freq=5):
-    """Closed-form duty-cycle swing matches brute-force integration."""
+def check_valve_swing(cfg=None):
+    """Closed-form duty-cycle extremes match the valve plant stepped
+    through whole fill and vent phases until the cycle repeats."""
     t0 = time.perf_counter()
     cfg = cfg or cfgmod.defaults()
     supply = cfg["earthworm.supply_kpa"]
     tf = cfg["earthworm.tau_fill_s"]
     tv = cfg["earthworm.tau_vent_s"]
     duty = cfg["earthworm.duty"]
+    freqs = np.linspace(0.2, 2.0, 20)
     worst = 0.0
-    for f in np.linspace(0.3, 1.5, n_freq):
+    for f in freqs:
         lo, hi = pneumatics.cycle_amplitude(f, duty, supply, tf, tv)
-        blo, bhi = _brute_cycle(f, duty, supply, tf, tv)
-        worst = max(worst, abs(lo - blo) / bhi, abs(hi - bhi) / bhi)
+        blo, bhi = _plant_cycle(f, duty, supply, tf, tv)
+        worst = max(worst, abs(lo - blo) / blo, abs(hi - bhi) / bhi)
     return _result("valve-swing", t0, worst < 1e-3,
-                   f"worst relative gap {worst:.2e} over {n_freq} "
-                   f"frequencies (tol 1e-3)")
+                   f"worst relative gap {worst:.2e} over {len(freqs)} "
+                   f"frequencies from 0.2 to 2 Hz (tol 1e-3)")
 
 
-def _brute_cycle(freq, duty, supply, tau_fill, tau_vent, cycles=40,
-                 dt=1e-4):
-    period = 1.0 / freq
-    n = max(2, int(round(period / dt)))
-    step = period / n
-    n_on = int(round(duty * n))
+def _plant_cycle(freq, duty, supply, tau_fill, tau_vent):
+    # the plant's exponential step is exact for any length, so one step
+    # per valve phase, repeated until the peak stops moving, gives the
+    # periodic extremes without the closed form
     plant = pneumatics.PneumaticPlant(supply_kpa=supply, tau_fill_s=tau_fill,
                                       tau_vent_s=tau_vent)
-    lo = hi = plant.pressure_kpa
-    for _ in range(cycles):
-        lo, hi = np.inf, -np.inf
-        for k in range(n):
-            p = plant.step(step, k < n_on, k >= n_on)
-            lo, hi = min(lo, p), max(hi, p)
+    lo = hi = math.nan
+    for _ in range(10000):
+        last = hi
+        hi = plant.step(duty / freq, True, False)
+        lo = plant.step((1.0 - duty) / freq, False, True)
+        if hi == last:
+            break
     return lo, hi
 
 
-def check_incompressibility(cfg=None, pressure_kpa=40.0):
+def check_incompressibility(cfg=None):
     """The configured material keeps solid volume within 0.5 percent."""
     t0 = time.perf_counter()
     try:
@@ -245,6 +267,7 @@ def check_incompressibility(cfg=None, pressure_kpa=40.0):
         warnings.simplefilter("ignore")
         mesh = geometry.generate_mesh(
             geometry.ActuatorSpec(kind="pocket", element_size=2.0))
+    pressure_kpa = 40.0
     case = fea.LoadCase(target_pressure_kpa=pressure_kpa, increments=8)
     sol = fea.solve(mesh, pm, case)
     model = fea.Model(mesh)
@@ -257,20 +280,27 @@ def check_incompressibility(cfg=None, pressure_kpa=40.0):
                    f"(tol 0.50%)")
 
 
-def check_cylinder(cfg=None, element_size=2.5, pressure_kpa=50.0):
-    """Coarse tube inflation lands near the plane-strain closed form."""
+def check_cylinder(cfg=None):
+    """A coarse tube inflation tracks the plane-strain closed form at
+    every increment from 5 kPa to 50 kPa."""
     t0 = time.perf_counter()
     cfg = cfg or cfgmod.defaults()
     c10 = cfg["material.c10_mpa"]
     spec = geometry.ActuatorSpec(kind="tube")
-    ref = cylinder_inner_radius_mm(pressure_kpa, spec, c10) \
-        - (spec.width / 2.0 - spec.wall)
-    got = solve_cylinder(element_size, pressure_kpa, c10_mpa=c10)
-    rel = abs(got - ref) / ref
+    rin = spec.width / 2.0 - spec.wall
+    mesh, sol = _cylinder_solution(2.5, 50.0, 10, c10)
+    got = fea.measure_radial_expansion(mesh, sol)
+    gaps = []
+    for p, g in zip(sol.pressures_kpa, got):
+        if p >= 5.0:
+            ref = cylinder_inner_radius_mm(p, spec, c10) - rin
+            gaps.append(abs(g - ref) / ref)
+    worst, final = max(gaps), gaps[-1]
     return _result(
-        "cylinder", t0, rel < 0.05,
-        f"inner expansion {got:.4f} mm vs closed form {ref:.4f} mm, "
-        f"gap {rel:.2%} (tol 5% at this coarseness)")
+        "cylinder", t0, worst < 0.04 and final < 0.03,
+        f"2.5 mm tube: worst gap to the closed form {worst:.2%} over "
+        f"{len(gaps)} increments from 5 kPa (tol 4%), {final:.2%} at "
+        f"{sol.pressures_kpa[-1]:g} kPa (tol 3%)")
 
 
 def _material(cfg):

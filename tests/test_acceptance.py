@@ -2,21 +2,19 @@
 
 One test per criterion.  Each registers a single PASS/FAIL summary line
 (printed after the pytest report, see conftest) before asserting at the
-stated tolerance, so a red run still reports every criterion.  The
-bending solves use the coarse settings (half meshes, 60 increments)
-whose agreement with the fine runs was verified once and recorded in
-the project notes.
+stated tolerance, so a red run still reports every criterion.
+Criteria 1, 2, 3 and 5 run the checks of ``pneusoft verify`` itself.
+The bending solves use the coarse settings (half meshes, 60
+increments); no refinement study backs them yet (ROADMAP item 4(d)).
 """
 
-import math
 import time
 import warnings
 
 import numpy as np
 import pytest
 
-from pneusoft import fea, geometry, material, pneumatics, robots, verify
-from pneusoft import mesh as meshmod
+from pneusoft import fea, material, pneumatics, robots, verify
 
 from conftest import coarse_mesh, record_criterion
 
@@ -25,67 +23,25 @@ PARAMS = material.HyperelasticParams(c10=0.24)
 
 # ---------------------------------------------------------- solver gates
 
-def test_criterion_01_gradient_chain():
-    result = verify.check_gradient(n_states=100)
-    ok = result.passed and result.elapsed_s < 10.0
-    record_criterion(1, "gradient-chain", ok,
+def _verify_gate(index, name, check, max_s=None):
+    result = check()
+    fast = max_s is None or result.elapsed_s < max_s
+    record_criterion(index, name, result.passed and fast,
                      f"{result.detail} in {result.elapsed_s:.1f}s")
     assert result.passed, result.detail
-    assert result.elapsed_s < 10.0
+    assert fast, f"{result.elapsed_s:.1f}s (limit {max_s:g}s)"
+
+
+def test_criterion_01_gradient_chain():
+    _verify_gate(1, "gradient-chain", verify.check_gradient, max_s=10.0)
 
 
 def test_criterion_02_stress_patch():
-    # affine boundary motion on a one-cell block must reproduce the
-    # homogeneous stress state at machine precision
-    m = coarse_mesh("cube", 1.0)
-    grad = np.array([[0.030, 0.010, 0.000],
-                     [0.000, -0.020, 0.015],
-                     [0.005, 0.000, 0.025]])
-    target = m.nodes @ grad.T
-    on_boundary = ((np.abs(np.abs(m.nodes[:, 0]) - 0.5) < 1e-9)
-                   | (np.abs(np.abs(m.nodes[:, 1]) - 0.5) < 1e-9)
-                   | (np.abs(m.nodes[:, 2]) < 1e-9)
-                   | (np.abs(m.nodes[:, 2] - 1.0) < 1e-9))
-    assert int(np.sum(~on_boundary)) == 1  # a single interior node
-    mask = np.repeat(on_boundary[:, None], 3, axis=1)
-    case = fea.LoadCase(target_pressure_kpa=0.0, increments=1,
-                        fixed_set=None, pressure_set=None)
-    sol = fea.solve(m, PARAMS, case, prescribed=(mask, target))
-
-    f = fea.Model(m).def_grad(sol.final_u()).reshape(-1, 3, 3)
-    s = material.pk2_stress(PARAMS, f)
-    s_exact = material.pk2_stress(PARAMS, np.eye(3) + grad)
-    rel = float(np.max(np.abs(s - s_exact)) / np.max(np.abs(s_exact)))
-    interior = float(np.max(np.abs(sol.final_u() - target)[~on_boundary]))
-    ok = rel < 1e-10
-    record_criterion(2, "stress-patch", ok,
-                     f"stress deviation {rel:.2e} (tol 1e-10), "
-                     f"interior node off by {interior:.2e} mm")
-    assert rel < 1e-10
+    _verify_gate(2, "stress-patch", verify.check_patch)
 
 
 def test_criterion_03_closed_cavity():
-    m = geometry.generate_mesh(geometry.ActuatorSpec(kind="pocket"))
-    model = fea.Model(m)
-    _, area = meshmod.face_normal_sum(m, "cavity")
-    p = 30.0
-    tol = 1e-8 * fea.KPA_TO_MPA * p * area
-    rng = np.random.default_rng(7)
-    worst_force = worst_moment = 0.0
-    for _ in range(5):
-        g = 0.08 * rng.standard_normal((3, 3))
-        u = m.nodes @ g.T + 0.3 * np.sin(m.nodes / 2.5 + rng.standard_normal(3))
-        force = fea.pressure_force(m, p, u, model=model)
-        worst_force = max(worst_force,
-                          float(np.linalg.norm(force.sum(axis=0))))
-        moment = np.cross(m.nodes + u, force).sum(axis=0)
-        worst_moment = max(worst_moment, float(np.linalg.norm(moment)))
-    ok = worst_force < tol and worst_moment < tol
-    record_criterion(3, "closed-cavity", ok,
-                     f"net force {worst_force:.2e} N, net moment "
-                     f"{worst_moment:.2e} N mm (tol {tol:.2e})")
-    assert worst_force < tol
-    assert worst_moment < tol
+    _verify_gate(3, "closed-cavity", verify.check_closed_cavity)
 
 
 def test_criterion_04_tube_convergence():
@@ -108,42 +64,8 @@ def test_criterion_04_tube_convergence():
 
 # ------------------------------------------------------ pneumatic gates
 
-def _brute_cycle_extremes(freq, duty, supply, tau_fill, tau_vent,
-                          dt=1e-4, cycles=60):
-    # exact per-sample exponential stepping; identical consecutive steps
-    # are composed in closed form so 60 cycles cost O(cycles) work
-    period = 1.0 / freq
-    n = max(2, int(round(period / dt)))
-    n_on = min(n - 1, max(1, int(round(duty * n))))
-    step = period / n
-    fill = math.exp(-step / tau_fill) ** n_on
-    vent = math.exp(-step / tau_vent) ** (n - n_on)
-    p = 0.0
-    hi = 0.0
-    for _ in range(cycles):
-        p = supply + (p - supply) * fill
-        hi = p
-        p *= vent
-    return p, hi
-
-
 def test_criterion_05_valve_cycle_map():
-    start = time.perf_counter()
-    freqs = np.linspace(0.2, 2.0, 20)
-    worst = 0.0
-    for f in freqs:
-        lo, hi = pneumatics.cycle_amplitude(f)
-        blo, bhi = _brute_cycle_extremes(f, 0.5, 250.0, 0.2, 0.35)
-        worst = max(worst,
-                    abs(hi - bhi) / bhi,
-                    abs(lo - blo) / max(blo, 1e-9))
-    elapsed = time.perf_counter() - start
-    ok = worst < 1e-3 and elapsed < 10.0
-    record_criterion(5, "valve-cycle", ok,
-                     f"worst deviation {worst:.2e} over 20 frequencies "
-                     f"in {elapsed:.1f}s (tol 1e-3)")
-    assert worst < 1e-3
-    assert elapsed < 10.0
+    _verify_gate(5, "valve-cycle", verify.check_valve_swing, max_s=10.0)
 
 
 def test_criterion_08_bath_regulation():
@@ -315,4 +237,6 @@ def test_quadruped_bend_table_matches_bending_solve(bending_solutions):
     m2, sol2, _ = bending_solutions["bending2"]
     ang = np.interp(robots.QUADRUPED_BEND_TABLE_KPA, sol2.pressures_kpa,
                     fea.measure_bend_angle(m2, sol2))
-    assert np.max(np.abs(ang - robots.QUADRUPED_BEND_TABLE_DEG)) < 1e-3, ang
+    table = tuple(round(float(a), 3) for a in ang)
+    assert np.max(np.abs(ang - robots.QUADRUPED_BEND_TABLE_DEG)) < 1e-3, \
+        f"regenerated: QUADRUPED_BEND_TABLE_DEG = {table}"

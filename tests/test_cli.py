@@ -94,6 +94,18 @@ def test_solve_unknown_config_key_exits_2(capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [("--pressure", "nan"),
+                                   ("--pressure", "inf"),
+                                   ("--pressure", "10", "--increments", "0")])
+def test_solve_invalid_load_case_exits_2(tmp_path, capsys, extra):
+    out = tmp_path / "s.csv"
+    rc = cli.main(["solve", "--kind", "pocket", "--element-size", "2.5",
+                   "--out", str(out), *extra])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 def test_solve_nonconvergence_exits_1(tmp_path, capsys):
     # an absurd pressure dies by bisection exhaustion, not a traceback
     msh = tmp_path / "pocket.msh"

@@ -53,38 +53,6 @@ def test_internal_force_vanishes_for_rigid_motion(small_cube):
     assert np.max(np.abs(f)) < 1e-9 * char
 
 
-def test_internal_force_is_energy_gradient(small_cube):
-    model = fea.Model(small_cube)
-    h = 1e-6
-    for seed in range(5):
-        u = _random_displacement(small_cube, seed)
-        f = fea.internal_force(small_cube, PARAMS, u, model=model)
-        rng = np.random.default_rng(100 + seed)
-        v = rng.standard_normal(u.shape)
-        v /= np.linalg.norm(v)
-        wp = fea.total_strain_energy(small_cube, PARAMS, u + h * v, model=model)
-        wm = fea.total_strain_energy(small_cube, PARAMS, u - h * v, model=model)
-        directional = (wp - wm) / (2.0 * h)
-        assert directional == pytest.approx(float(np.sum(f * v)),
-                                            rel=1e-6, abs=1e-10)
-
-
-def test_tangent_matches_force_differences(small_cube):
-    model = fea.Model(small_cube)
-    h = 1e-6
-    for seed in range(3):
-        u = _random_displacement(small_cube, seed)
-        kt = fea.tangent_stiffness(small_cube, PARAMS, u, model=model)
-        rng = np.random.default_rng(200 + seed)
-        v = rng.standard_normal(u.shape)
-        v /= np.linalg.norm(v)
-        fp = fea.internal_force(small_cube, PARAMS, u + h * v, model=model)
-        fm = fea.internal_force(small_cube, PARAMS, u - h * v, model=model)
-        fd = (fp - fm).reshape(-1) / (2.0 * h)
-        kv = kt @ v.reshape(-1)
-        assert np.linalg.norm(kv - fd) < 1e-5 * np.linalg.norm(fd)
-
-
 def _reference_tangent(mesh, u):
     """Dense tangent summed one element at a time from the 6-index
     einsum formula, K = int dN (F C F + S I) dN."""
@@ -250,26 +218,14 @@ def test_pressure_face_degeneracy_rejected():
         fea.pressure_force(m, 10.0, u)
 
 
-def test_closed_cavity_loads_balance(pocket_coarse):
-    model = fea.Model(pocket_coarse)
-    _, area = meshmod.face_normal_sum(pocket_coarse, "cavity")
-    p = 30.0
-    tol = 1e-8 * fea.KPA_TO_MPA * p * area
-    for seed in range(3):
-        u = _random_displacement(pocket_coarse, seed)
-        f = fea.pressure_force(pocket_coarse, p, u, model=model)
-        x = pocket_coarse.nodes + u
-        force = f.sum(axis=0)
-        moment = np.cross(x, f).sum(axis=0)
-        assert np.linalg.norm(force) < tol
-        assert np.linalg.norm(moment) < 50.0 * tol
-
-
 def test_load_case_validation():
     with pytest.raises(ValueError, match="vacuum"):
         fea.LoadCase(target_pressure_kpa=-5.0)
     with pytest.raises(ValueError, match="increments"):
         fea.LoadCase(target_pressure_kpa=5.0, increments=0)
+    for target in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            fea.LoadCase(target_pressure_kpa=target)
 
 
 def test_solve_zero_target_returns_reference(pocket_coarse):
