@@ -11,7 +11,7 @@ loudly instead of silently configuring nothing.
 import dataclasses
 import os
 
-from . import material, pneumatics, robots
+from . import fea, material, pneumatics, robots
 
 ENV_VAR = "PNEUSOFT_CONFIG"
 
@@ -32,7 +32,7 @@ def defaults():
     cfg = {
         "material.c10_mpa": material.DEFAULT_C10,
         "material.kappa_ratio": float(material.DEFAULT_KAPPA_RATIO),
-        "solver.increments": 300,
+        "solver.increments": fea.LoadCase.increments,
     }
     cfg.update(_fields("pneumatics", pneumatics.PneumaticPlant))
     cfg.update(_fields("bath", pneumatics.BathPlant, skip=("temp_c",)))

@@ -13,30 +13,6 @@ import numpy as np
 # edge -> local mid-node index, tetrahedron
 TET10_EDGES = ((0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (2, 3))
 
-# corner faces of a positively oriented tet, outward orientation
-TET_CORNER_FACES = ((0, 2, 1), (0, 1, 3), (1, 2, 3), (0, 3, 2))
-
-# mid-node of edge (a, b) keyed by frozenset-equivalent sorted pair
-_TET_EDGE_MID = {tuple(sorted(e)): 4 + i for i, e in enumerate(TET10_EDGES)}
-
-
-def tet10_face(conn, local_face):
-    """Six node ids of one corner face of a 10-node tet, outward oriented.
-
-    ``conn`` is the 10-entry connectivity of the element, ``local_face``
-    indexes TET_CORNER_FACES.  Returned order is the three corners
-    followed by the mid-nodes of edges (0,1), (1,2), (2,0) of the face.
-    """
-    a, b, c = TET_CORNER_FACES[local_face]
-    corners = (conn[a], conn[b], conn[c])
-    mids = (
-        conn[_TET_EDGE_MID[tuple(sorted((a, b)))]],
-        conn[_TET_EDGE_MID[tuple(sorted((b, c)))]],
-        conn[_TET_EDGE_MID[tuple(sorted((c, a)))]],
-    )
-    return corners + mids
-
-
 def tet10_shape(points):
     """Shape functions at natural coordinates ``points`` (n, 3) -> (n, 10)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))

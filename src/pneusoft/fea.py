@@ -4,9 +4,11 @@ Displacement-based quadratic tets, 4-point quadrature, Neo-Hookean
 material, and a follower pressure load integrated on the deformed cavity
 surface.  The Newton linearization carries both the material/geometric
 stiffness and the unsymmetric pressure load stiffness, so convergence
-near the solution is quadratic.  Increments that fail to converge,
-invert an element or meet a singular factor are bisected down to 1/32
-of the nominal step before the solver gives up.
+near the solution is quadratic.  The ramp steps from one uniform load
+station to the next; a step that fails to converge, inverts an element
+or meets a singular factor is halved, down to 1/32 of the station
+spacing, and the step doubles again after each success without passing
+the next station.
 
 One ``Model`` per solve owns the discretization, including one
 sparsity pattern built from the node pairs that share a tet.  The
@@ -73,13 +75,16 @@ class SolveError(RuntimeError):
 class LoadCase:
     """Pressure ramp on one face set with homogeneous supports.
 
-    ``extra_fixed`` lists (node_set, axis) pairs pinning single
-    components, e.g. ("end0", "z"); the main ``fixed_set`` pins all
-    three.  Either may be None when the case needs no such support.
+    ``increments`` is the number of uniform load stations the ramp lands
+    on: the Solution has a row at every k / increments of the target,
+    plus a row per bisected sub-step between stations.  ``extra_fixed``
+    lists (node_set, axis) pairs pinning single components, e.g.
+    ("end0", "z"); the main ``fixed_set`` pins all three.  Either may be
+    None when the case needs no such support.
     """
 
     target_pressure_kpa: float
-    increments: int = 300
+    increments: int = 10
     fixed_set: str = "fixed"
     pressure_set: str = "cavity"
     extra_fixed: tuple = ()
@@ -476,9 +481,10 @@ def solve(mesh, params, case, prescribed=None):
     ``prescribed`` optionally carries (mask, values) for inhomogeneous
     supports: boolean (N, 3) and target displacements, ramped with the
     load.  Returns a Solution whose first increment is the reference
-    state.  Raises SolveError when the supports leave a rigid-body mode
-    or an element-free node unconstrained, or when an increment cannot
-    be converged even after ``MAX_BISECTIONS`` halvings.  Accepted
+    state and which has a row at every station of ``case``.  Raises
+    SolveError when the supports leave a rigid-body mode or an
+    element-free node unconstrained, or when an increment cannot be
+    converged even after ``MAX_BISECTIONS`` halvings.  Accepted
     increments, bisections and factorization fallbacks are logged at
     INFO on ``pneusoft.fea``.  Each ``Solution.log`` record holds the
     pressure, the Newton iterations and residuals of the accepted
@@ -510,47 +516,50 @@ def solve(mesh, params, case, prescribed=None):
     t, dt = 0.0, dt0
     u_prev, dt_prev = None, None
     pressures = [0.0]
-    while t < 1.0 - 1e-12:
-        dt = min(dt, 1.0 - t)
-        trial = t + dt
-        # Secant predictor: extrapolating the previous increment usually
-        # starts Newton inside its contraction basin.
-        starts = [u]
-        if u_prev is not None and dt_prev > 0.0:
-            starts.insert(0, u + (u - u_prev) * (dt / dt_prev))
-        try:
-            last_exc = None
-            for u_start in starts:
-                try:
-                    un, iters, hist = _newton(
-                        mesh, params, model, case.pressure_set,
-                        trial * target, u_start, free, block,
-                        trial * values if prescribed is not None else None,
-                        stats)
-                    break
-                except StepRejected as exc:
-                    last_exc = exc
-            else:
-                raise last_exc
-        except StepRejected as exc:
-            dt *= 0.5
-            if dt < floor - 1e-15:
-                raise SolveError(
-                    f"increment at {trial * target:.4g} kPa failed after "
-                    f"{MAX_BISECTIONS} bisections: {exc}") from exc
-            log.info("bisect at %.4g kPa: %s; retry with dt=%.4g",
-                     trial * target, exc, dt)
-            continue
-        u_prev, dt_prev = u, dt
-        t, u = trial, un
-        pressures.append(t * target)
-        sol.displacements.append(u.copy())
-        sol.log.append({"pressure_kpa": t * target, "iterations": iters,
-                        "residuals": hist, **stats})
-        stats = dict.fromkeys(stats, 0)
-        log.info("p=%9.3f kPa  iters=%d  resid=%.3e", t * target, iters,
-                 hist[-1])
-        dt = min(dt0, dt * 2.0)
+    for k in range(1, case.increments + 1):
+        station = k / case.increments
+        while t < station:
+            # land on the station exactly rather than a rounding short of it
+            trial = station if t + dt >= station - 1e-12 else t + dt
+            dt = trial - t
+            # Secant predictor: extrapolating the previous increment usually
+            # starts Newton inside its contraction basin.
+            starts = [u]
+            if u_prev is not None:
+                starts.insert(0, u + (u - u_prev) * (dt / dt_prev))
+            try:
+                last_exc = None
+                for u_start in starts:
+                    try:
+                        un, iters, hist = _newton(
+                            mesh, params, model, case.pressure_set,
+                            trial * target, u_start, free, block,
+                            trial * values if prescribed is not None else None,
+                            stats)
+                        break
+                    except StepRejected as exc:
+                        last_exc = exc
+                else:
+                    raise last_exc
+            except StepRejected as exc:
+                dt *= 0.5
+                if dt < floor - 1e-15:
+                    raise SolveError(
+                        f"increment at {trial * target:.4g} kPa failed after "
+                        f"{MAX_BISECTIONS} bisections: {exc}") from exc
+                log.info("bisect at %.4g kPa: %s; retry with dt=%.4g",
+                         trial * target, exc, dt)
+                continue
+            u_prev, dt_prev = u, dt
+            t, u = trial, un
+            pressures.append(t * target)
+            sol.displacements.append(u.copy())
+            sol.log.append({"pressure_kpa": t * target, "iterations": iters,
+                            "residuals": hist, **stats})
+            stats = dict.fromkeys(stats, 0)
+            log.info("p=%9.3f kPa  iters=%d  resid=%.3e", t * target, iters,
+                     hist[-1])
+            dt *= 2.0
     sol.pressures_kpa = np.asarray(pressures)
     return sol
 

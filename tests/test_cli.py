@@ -81,6 +81,20 @@ def test_solve_zero_pressure_writes_reference_row(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_solve_default_increments_land_on_uniform_grid(tmp_path, capsys):
+    out = tmp_path / "sol.csv"
+    rc = cli.main(["solve", "--kind", "pocket", "--element-size", "2.5",
+                   "--pressure", "20", "--out", str(out)])
+    assert rc == 0
+    n = cfgmod.defaults()["solver.increments"]
+    assert f"in {n} increments" in capsys.readouterr().out
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert rows.shape[0] == n + 1
+    assert np.array_equal(rows[:, 0], np.arange(n + 1))
+    assert np.allclose(rows[:, 1], 20.0 * np.arange(n + 1) / n,
+                       rtol=1e-6, atol=0.0)
+
+
 def test_solve_needs_mesh_or_kind(capsys):
     rc = cli.main(["solve", "--pressure", "10"])
     assert rc == 2

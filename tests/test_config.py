@@ -19,7 +19,7 @@ def test_defaults_cover_every_section():
     cfg = cfgmod.defaults()
     assert cfg["material.c10_mpa"] == 0.24
     assert cfg["material.kappa_ratio"] == 1000.0
-    assert cfg["solver.increments"] == 300
+    assert cfg["solver.increments"] == 10
     prefixes = {k.split(".", 1)[0] for k in cfg}
     assert prefixes == {"material", "solver", "pneumatics", "bath",
                         "earthworm", "quadruped", "gripper"}

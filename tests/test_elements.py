@@ -112,25 +112,3 @@ def test_tri6_gradients_match_finite_differences():
         fd = (elements.tri6_shape(pts + dp)
               - elements.tri6_shape(pts - dp)) / (2.0 * h)
         assert np.allclose(grads[..., axis], fd, atol=1e-8)
-
-
-def test_tet10_face_nodes_and_orientation():
-    # one reference tetrahedron with exact edge midpoints
-    corners = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
-                        [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    coords = np.vstack([
-        corners,
-        [0.5 * (corners[i] + corners[j]) for i, j in elements.TET10_EDGES],
-    ])
-    conn = np.arange(10)
-    centroid = corners.mean(axis=0)
-    for local in range(4):
-        face = elements.tet10_face(conn, local)
-        a, b, c = coords[face[0]], coords[face[1]], coords[face[2]]
-        # mid nodes sit on the corner edges of the face
-        assert np.allclose(coords[face[3]], 0.5 * (a + b), atol=1e-15)
-        assert np.allclose(coords[face[4]], 0.5 * (b + c), atol=1e-15)
-        assert np.allclose(coords[face[5]], 0.5 * (c + a), atol=1e-15)
-        # corner winding points out of the element
-        normal = np.cross(b - a, c - a)
-        assert normal @ ((a + b + c) / 3.0 - centroid) > 0.0

@@ -365,6 +365,22 @@ def test_bisections_are_logged(pocket_coarse, caplog):
     assert all("det F must be positive" in m for m in bisections)
 
 
+def test_bisected_ramp_lands_on_every_station():
+    # the one-chamber bending1 half finger bisects twice on its way to
+    # 90 kPa; every station must still be a row of the solution
+    mesh = coarse_mesh("bending1", 10.0, symmetric_half=True, chambers=1,
+                       length=24.0)
+    case = fea.LoadCase(target_pressure_kpa=90.0, increments=6,
+                        extra_fixed=(("symx", "x"),))
+    sol = fea.solve(mesh, PARAMS, case)
+    assert sol.n_increments > case.increments + 1
+    assert np.all(np.diff(sol.pressures_kpa) > 0.0)
+    stations = 90.0 * np.arange(case.increments + 1) / case.increments
+    landed = np.isclose(sol.pressures_kpa[:, None], stations, rtol=1e-9,
+                        atol=0.0).any(axis=0)
+    assert landed.all(), f"stations {stations[~landed]} kPa were skipped"
+
+
 def test_solve_missing_sets_raise(pocket_coarse):
     case = fea.LoadCase(target_pressure_kpa=10.0, pressure_set="nope")
     with pytest.raises(KeyError, match="face set"):
