@@ -156,13 +156,7 @@ def _cmd_robot(args):
         args.robot = "quadruped"
     if args.robot == "earthworm":
         params = cfgmod.earthworm_params(cfg)
-        if args.sweep:
-            start, stop, step = (float(tok) for tok in args.sweep.split(":"))
-        else:
-            start, stop, step = args.freq_start, args.freq_stop, \
-                args.freq_step
-        freqs = np.arange(start, stop + 1e-9, step)
-        table = robots.earthworm_frequency_sweep(params, freqs)
+        table = robots.earthworm_frequency_sweep(params, _sweep(args.sweep))
         _write_rows(args.out, "freq_Hz,speed_mm_s", table)
         best = table[np.argmax(table[:, 1])]
         print(f"peak speed {best[1]:.2f} mm/s at {best[0]:.2f} Hz")
@@ -234,6 +228,16 @@ def _floats(text):
     return tuple(float(tok) for tok in text.split(","))
 
 
+def _sweep(text):
+    """The grid START, START + STEP, ... up to STOP of 'START:STOP:STEP'."""
+    vals = [float(tok) for tok in text.split(":")]
+    if (len(vals) != 3 or not np.all(np.isfinite(vals)) or vals[2] <= 0.0
+            or vals[1] < vals[0]):
+        raise ValueError("--sweep needs finite START:STOP:STEP with "
+                         f"START <= STOP and STEP > 0, got {text!r}")
+    return np.arange(vals[0], vals[1] + 1e-9, vals[2])
+
+
 def _write_rows(path, header, rows):
     if not path:
         return
@@ -285,11 +289,8 @@ def build_parser():
     p.add_argument("robot", choices=("earthworm", "quadruped", "quad",
                                      "gripper", "bath"))
     p.add_argument("--out", metavar="CSV", default=None)
-    p.add_argument("--sweep", metavar="START:STOP:STEP", default=None,
-                   help="earthworm frequency grid in Hz")
-    p.add_argument("--freq-start", type=float, default=0.2)
-    p.add_argument("--freq-stop", type=float, default=1.6)
-    p.add_argument("--freq-step", type=float, default=0.1)
+    p.add_argument("--sweep", metavar="START:STOP:STEP", default="0.2:1.6:0.1",
+                   help="earthworm frequency grid in Hz (default %(default)s)")
     p.add_argument("--pressure", type=float, default=None, metavar="KPA",
                    help="quadruped point to report (default 50)")
     p.add_argument("--load", type=float, default=None, metavar="G",

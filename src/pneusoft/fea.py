@@ -119,7 +119,6 @@ class Solution:
 # ---------------------------------------------------------------- kernels
 
 _AX3 = np.arange(3)
-_CHUNK = 256             # elements per batch of the tangent kernel
 _TRI_QP, _TRI_W = tri_quadrature()
 _TRI_N = tri6_shape(_TRI_QP)                               # (q, 6)
 _TRI_DN = tri6_shape_grad(_TRI_QP)                         # (q, 6, 2)
@@ -151,7 +150,10 @@ class _Pattern:
         self.indices = np.empty(self.nnz, dtype=idx)
         pos = self._block(np.arange(self.pairs.size), col)
         self.indices[pos] = 3 * (self.pairs % n)[:, None, None] + _AX3
-        self.tet_pos = self.scatter(mesh.tets)
+        # element tangents come as (M, row node, row axis, column node,
+        # column axis), so their positions are laid out that way once here
+        self.tet_pos = self.scatter(mesh.tets).reshape(
+            len(mesh.tets), 10, 10, 3, 3).transpose(0, 1, 4, 2, 3).ravel()
 
     def _block(self, p, b):
         """Data positions of pair p in column node b, (..., 3 col axes,
@@ -275,34 +277,41 @@ def internal_force(mesh, params, u, *, model=None):
 def tangent_stiffness(mesh, params, u, *, model=None):
     """Sparse consistent tangent d f_int / d u, (3N, 3N) CSC.
 
-    The element matrices
+    With g_a = F^-T dN_a/dX, h_a = F dN_a/dX and the moduli (a, b, c) of
+    ``material.lagrangian_tangent``, the element matrices are
 
-        K[a i, b k] = sum_q w dN_a/dX_K (F_iJ C_JKLM F_kL + S_KM d_ik) dN_b/dX_M
+        K[a i, b k] = sum_q w [ a g_ai g_bk - b (h_ai g_bk + g_ai h_bk)
+                                + c/2 g_bi g_ak
+                                + d_ik dN_a/dX . (c/2 C^-1 + S) . dN_b/dX ],
 
-    come from batched matrix products, elements in chunks of ``_CHUNK``
-    written into one array, and are summed into the model's fixed
-    sparsity pattern with one scatter.  The matrix always has the same
-    structure, so callers can slice its data by precomputed indices.
+    each term a batched matrix product over all elements with the
+    quadrature points as the inner dimension.  They are summed into the
+    model's fixed sparsity pattern with one scatter.  The matrix always
+    has the same structure, so callers can slice its data by precomputed
+    indices.
     """
     model = model or Model(mesh)
     f = model.def_grad(u)
-    s, cc = mat.lagrangian_tangent(params, f)
-    n_q = f.shape[1]
+    s, cinv, (ma, mb, mc) = mat.lagrangian_tangent(params, f)
+    n_e, n_q = model.detjw.shape
     ft = f.swapaxes(-1, -2)
-    ke = np.empty((len(f), 10, 90))                        # [a, (b, k, i)]
-    for lo in range(0, len(f), _CHUNK):
-        sl = slice(lo, lo + _CHUNK)
-        # A[K M, k i] = F_iJ C_JKLM F_kL, contracting L through the minor
-        # symmetry C_JKLM = C_JKML
-        z = cc[sl].reshape(-1, n_q, 27, 3) @ ft[sl]        # [J K M, k]
-        a = z.reshape(-1, n_q, 3, 27).swapaxes(-1, -2) @ ft[sl]
-        a = a.reshape(-1, n_q, 3, 3, 3, 3)                 # [K, M, k, i]
-        for i in range(3):
-            a[..., i, i] += s[sl]
-        # V[q K, b k i] = dN_b/dX_M A[K M, k i]; quadrature points fold into
-        # the inner dimension of the product with w dN_a/dX_K
-        v = model.dndx[sl, :, None] @ a.reshape(-1, n_q, 3, 3, 9)
-        np.matmul(model.wdndx[sl], v.reshape(-1, 3 * n_q, 90), out=ke[sl])
+    g = model.dndx @ (cinv @ ft)                           # [q, a, i]
+    h = model.dndx @ ft
+
+    def rows(x):                                           # [(a, i), q]
+        return x.transpose(0, 2, 3, 1).reshape(n_e, 30, -1)
+
+    wa, wb, wc = ((model.detjw * m)[..., None, None] for m in (ma, mb, 0.5 * mc))
+    ke = rows(np.concatenate([wa * g - wb * h, -wb * g], axis=1)) @ \
+        np.concatenate([g, h], axis=1).reshape(n_e, 2 * n_q, 30)
+    ke5 = ke.reshape(n_e, 10, 3, 10, 3)
+    # the c/2 g_bi g_ak term comes out as [(a, k), (b, i)]
+    ke5 += (rows(wc * g) @ g.reshape(n_e, n_q, 30)).reshape(
+        n_e, 10, 3, 10, 3).transpose(0, 1, 4, 3, 2)
+    sc = s + (0.5 * mc)[..., None, None] * cinv
+    kg = model.wdndx @ (sc @ model.dndx.swapaxes(-1, -2)).reshape(n_e, 3 * n_q, 10)
+    for i in range(3):
+        ke5[:, :, i, :, i] += kg
     return model.pattern.matrix(model.pattern.tet_pos, ke)
 
 

@@ -22,15 +22,6 @@ DEFAULT_C10 = 0.24        # MPa, cast silicone used for all actuators
 DEFAULT_KAPPA_RATIO = 1000.0
 MIN_KAPPA_RATIO = 100.0
 
-# vendor datasheet values for the cast silicone; reference only, they are
-# not mutually consistent with the calibrated c10 under this energy and
-# must never be used as constitutive constants
-SILICONE_DATASHEET = {
-    "shore_hardness_a": 40.0,
-    "modulus_at_100pct_mpa": 1.38,
-    "tensile_strength_mpa": 4.14,
-}
-
 _EYE = np.eye(3)
 
 
@@ -136,27 +127,27 @@ def pk1_stress(params, f):
 
 
 def lagrangian_tangent(params, f):
-    """(S, 2 dS/dC) from one evaluation of J, C^-1 and I1: S exactly as
-    ``pk2_stress`` and the Lagrangian elasticity tensor (..., 3, 3, 3, 3),
-    the derivative of S contracted against dC increments in the solver
-    linearization.  Minor symmetry holds in both index pairs.
+    """(S, C^-1, (a, b, c)) from one evaluation of J, C^-1 and I1.
+
+    S is exactly ``pk2_stress``.  The Lagrangian elasticity tensor
+    2 dS/dC of this energy is
+
+        CC = a C^-1 (x) C^-1 - b (I (x) C^-1 + C^-1 (x) I) + c C^-1 (.) C^-1
+
+    with (C^-1 (.) C^-1)_IJKL = (C^-1_IK C^-1_JL + C^-1_IL C^-1_JK) / 2 and
+    the three moduli, each of the shape of J,
+
+        b = 4 c10 / 3 J^(-2/3),
+        a = b I1 / 3 + kappa J (2 J - 1),
+        c = b I1 - 2 kappa J (J - 1),
+
+    so the solver contracts them without forming the 81 entries of CC.
     """
     j, cinv, i1 = _kinematics(f)
-    jm23 = (j ** (-2.0 / 3.0))[..., None, None, None, None]
-    i1_ = i1[..., None, None, None, None]
-    j_ = j[..., None, None, None, None]
-
-    ct_x_ct = np.einsum("...ij,...kl->...ijkl", cinv, cinv)
-    ct_o_ct = 0.5 * (np.einsum("...ik,...jl->...ijkl", cinv, cinv)
-                     + np.einsum("...il,...jk->...ijkl", cinv, cinv))
-    eye_x_ct = np.einsum("ij,...kl->...ijkl", _EYE, cinv)
-    ct_x_eye = np.einsum("...ij,kl->...ijkl", cinv, _EYE)
-
-    cc = (4.0 * params.c10 / 3.0) * jm23 * (
-        (i1_ / 3.0) * ct_x_ct - eye_x_ct - ct_x_eye + i1_ * ct_o_ct)
-    cc += params.kappa * j_ * ((2.0 * j_ - 1.0) * ct_x_ct
-                               - 2.0 * (j_ - 1.0) * ct_o_ct)
-    return _pk2(params, j, cinv, i1), cc
+    b = (4.0 * params.c10 / 3.0) * j ** (-2.0 / 3.0)
+    a = b * i1 / 3.0 + params.kappa * j * (2.0 * j - 1.0)
+    c = b * i1 - 2.0 * params.kappa * j * (j - 1.0)
+    return _pk2(params, j, cinv, i1), cinv, (a, b, c)
 
 
 def calibrate_c10(pressures, displacements, forward_model,

@@ -131,8 +131,9 @@ def run_control(plant, controller, duration_s, sample_hz=DEFAULT_SAMPLE_HZ,
     ``sensor_noise_kpa`` adds zero-mean Gaussian noise to the pressure
     the controller sees (never to the recorded trace); off by default.
     """
-    if duration_s <= 0 or sample_hz <= 0:
-        raise ValueError("duration and sample rate must be positive")
+    if not all(math.isfinite(v) and v > 0 for v in (duration_s, sample_hz)):
+        raise ValueError("duration and sample rate must be positive and "
+                         f"finite, got {duration_s} s and {sample_hz} Hz")
     if sensor_noise_kpa < 0:
         raise ValueError(f"negative sensor noise {sensor_noise_kpa}")
     rng = np.random.default_rng(seed) if sensor_noise_kpa > 0 else None
@@ -253,8 +254,9 @@ class BathTrace:
 
 def run_bath(plant, controller, duration_s, dt_s=0.1):
     """Run the thermostat loop; warns when the setpoint is unreachable."""
-    if duration_s <= 0 or dt_s <= 0:
-        raise ValueError("duration and time step must be positive")
+    if not all(math.isfinite(v) and v > 0 for v in (duration_s, dt_s)):
+        raise ValueError("duration and time step must be positive and "
+                         f"finite, got {duration_s} s and {dt_s} s")
     reachable = plant.equilibrium_c(True)
     if controller.setpoint_c - controller.band_c > reachable:
         warnings.warn(

@@ -82,24 +82,20 @@ CYLINDER_FIXED = (("end0", "z"), ("end1", "z"), ("xaxis", "y"),
                   ("yaxis", "x"))
 
 
-def _cylinder_solution(element_size, pressure_kpa, increments, c10_mpa):
+def _cylinder_solution(element_size, c10):
+    """Plane-strain tube inflated to 50 kPa over 10 stations."""
     spec = geometry.ActuatorSpec(kind="tube", element_size=element_size)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         mesh = geometry.generate_mesh(spec)
-    c10 = mat.DEFAULT_C10 if c10_mpa is None else c10_mpa
-    params = mat.HyperelasticParams(c10=c10)
-    case = fea.LoadCase(target_pressure_kpa=pressure_kpa,
-                        increments=increments, fixed_set=None,
-                        extra_fixed=CYLINDER_FIXED)
-    return mesh, fea.solve(mesh, params, case)
+    case = fea.LoadCase(target_pressure_kpa=50.0, increments=10,
+                        fixed_set=None, extra_fixed=CYLINDER_FIXED)
+    return mesh, fea.solve(mesh, mat.HyperelasticParams(c10=c10), case)
 
 
-def solve_cylinder(element_size, pressure_kpa=50.0, increments=10,
-                   c10_mpa=None):
-    """Plane-strain tube inflation; returns the mean inner expansion, mm."""
-    mesh, sol = _cylinder_solution(element_size, pressure_kpa, increments,
-                                   c10_mpa)
+def solve_cylinder(element_size):
+    """Tube inflation at 50 kPa; returns the mean inner expansion, mm."""
+    mesh, sol = _cylinder_solution(element_size, mat.DEFAULT_C10)
     return float(fea.measure_radial_expansion(mesh, sol)[-1])
 
 
@@ -288,7 +284,7 @@ def check_cylinder(cfg=None):
     c10 = cfg["material.c10_mpa"]
     spec = geometry.ActuatorSpec(kind="tube")
     rin = spec.width / 2.0 - spec.wall
-    mesh, sol = _cylinder_solution(2.5, 50.0, 10, c10)
+    mesh, sol = _cylinder_solution(2.5, c10)
     got = fea.measure_radial_expansion(mesh, sol)
     gaps = []
     for p, g in zip(sol.pressures_kpa, got):

@@ -72,6 +72,18 @@ def rotation(axis, angle_rad):
         + (1.0 - np.cos(angle_rad)) * (kx @ kx)
 
 
+def lagrangian_tensor(cinv, moduli):
+    """The full (..., 3, 3, 3, 3) tensor 2 dS/dC built from the C^-1 and
+    the moduli (a, b, c) that ``material.lagrangian_tangent`` returns."""
+    a, b, c = (np.asarray(m)[..., None, None, None, None] for m in moduli)
+    ct_x_ct = np.einsum("...ij,...kl->...ijkl", cinv, cinv)
+    ct_o_ct = 0.5 * (np.einsum("...ik,...jl->...ijkl", cinv, cinv)
+                     + np.einsum("...il,...jk->...ijkl", cinv, cinv))
+    eye_x_ct = np.einsum("ij,...kl->...ijkl", np.eye(3), cinv)
+    ct_x_eye = np.einsum("...ij,kl->...ijkl", cinv, np.eye(3))
+    return a * ct_x_ct - b * (eye_x_ct + ct_x_eye) + c * ct_o_ct
+
+
 @pytest.fixture(scope="session")
 def small_cube():
     # 2x2x2 cells, 48 tets; small enough for dense eigenvalue work

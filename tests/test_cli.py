@@ -196,6 +196,18 @@ def test_robot_earthworm_sweep(tmp_path, capsys):
     assert abs(best[1] - 16.0) <= 0.2 * 16.0
 
 
+@pytest.mark.parametrize("argv", [
+    ["robot", "earthworm", "--sweep", "0.2:1.6:0"],
+    ["robot", "earthworm", "--sweep", "1.6:0.2:0.1"],
+    ["control", "--duration", "inf"],
+    ["control", "--sample-hz", "inf"],
+    ["robot", "bath", "--duration", "inf"],
+])
+def test_bad_loop_lengths_exit_2(capsys, argv):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_robot_quad_alias_reports_anchor(capsys):
     rc = cli.main(["robot", "quad", "--pressure", "50", "--load", "80"])
     assert rc == 0

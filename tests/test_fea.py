@@ -12,7 +12,7 @@ from scipy.sparse.linalg import splu
 from pneusoft import fea, geometry, material
 from pneusoft import mesh as meshmod
 
-from conftest import coarse_mesh, rotation, with_orphan_node
+from conftest import coarse_mesh, lagrangian_tensor, rotation, with_orphan_node
 
 PARAMS = material.HyperelasticParams(c10=0.24)
 
@@ -61,7 +61,7 @@ def _reference_tangent(mesh, u):
     for conn, dndx, detjw in zip(mesh.tets, model.dndx, model.detjw):
         f = np.eye(3) + np.einsum("am,qaj->qmj", u[conn], dndx)
         s = material.pk2_stress(PARAMS, f)
-        _, cc = material.lagrangian_tangent(PARAMS, f)
+        cc = lagrangian_tensor(*material.lagrangian_tangent(PARAMS, f)[1:])
         fcf = np.einsum("qiJ,qJKLM,qkL->qiKkM", f, cc, f)
         ke = np.einsum("qaK,qiKkM,qbM,q->aibk", dndx, fcf, dndx, detjw)
         kgeo = np.einsum("qaJ,qJL,qbL,q->ab", dndx, s, dndx, detjw)
@@ -158,14 +158,20 @@ def test_model_and_mesh_only_calls_agree(pocket_coarse):
             assert np.array_equal(g, w), layer.__name__
 
 
-def test_no_private_fea_names_outside_fea():
-    # other modules and the tests reach fea only through its public names
+def test_no_private_names_across_modules():
+    # every pneusoft module, under each alias it is imported as, is reached
+    # from the other modules, the tests and the benchmark only through its
+    # public names
     root = Path(__file__).resolve().parent.parent
-    files = [p for p in sorted((root / "src" / "pneusoft").glob("*.py"))
-             if p.name != "fea.py"] + sorted((root / "tests").glob("*.py"))
+    modules = ("fea|material|mat|mesh|meshmod|geometry|verify|config|cfgmod"
+               "|pneumatics|pneu|robots|cli|elements")
+    private = re.compile(rf"(?<![\w.])({modules})\._[A-Za-z]"
+                         r"|^from \S+ import .*\b_[A-Za-z]")
+    files = [p for d in ("src/pneusoft", "tests", "perfbench")
+             for p in sorted((root / d).glob("*.py"))]
     hits = [f"{p.name}:{n}: {line.strip()}" for p in files
             for n, line in enumerate(p.read_text().splitlines(), 1)
-            if re.search(r"fea\._[A-Za-z]", line)]
+            if private.search(line)]
     assert not hits
 
 

@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 
 from pneusoft import material
 
-from conftest import rotation
+from conftest import lagrangian_tensor, rotation
 
 PARAMS = material.HyperelasticParams(c10=0.24)
 
@@ -33,13 +33,6 @@ def test_params_validation():
     assert p.kappa == pytest.approx(240.0, rel=1e-15)
     assert material.DEFAULT_C10 == 0.24
     assert material.MIN_KAPPA_RATIO == 100.0
-
-
-def test_datasheet_is_reference_only():
-    # nominal supplier figures ride along as metadata, not model inputs
-    assert material.SILICONE_DATASHEET["shore_hardness_a"] == 40.0
-    assert material.SILICONE_DATASHEET["modulus_at_100pct_mpa"] == 1.38
-    assert material.SILICONE_DATASHEET["tensile_strength_mpa"] == 4.14
 
 
 def test_deformation_state_validation():
@@ -189,7 +182,7 @@ def test_tangent_matches_stress_differences():
     dfs = rng.standard_normal(fs.shape)
     dfs /= np.linalg.norm(dfs, axis=(1, 2))[:, None, None]
     h = 1e-5
-    _, cc = material.lagrangian_tangent(PARAMS, fs)
+    cc = lagrangian_tensor(*material.lagrangian_tangent(PARAMS, fs)[1:])
     dc = (np.einsum("nki,nkj->nij", dfs, fs)
           + np.einsum("nki,nkj->nij", fs, dfs))
     ds_pred = 0.5 * np.einsum("nijkl,nkl->nij", cc, dc)
@@ -201,8 +194,12 @@ def test_tangent_matches_stress_differences():
 
 def test_tangent_symmetries_and_alias():
     fs = _random_gradients(10, seed=14)
-    s, cc = material.lagrangian_tangent(PARAMS, fs)
+    s, cinv, moduli = material.lagrangian_tangent(PARAMS, fs)
     assert np.array_equal(s, material.pk2_stress(PARAMS, fs))
+    assert np.allclose(cinv, np.linalg.inv(fs.swapaxes(1, 2) @ fs),
+                       rtol=1e-12, atol=1e-14)
+    assert all(m.shape == (len(fs),) for m in moduli)
+    cc = lagrangian_tensor(cinv, moduli)
     assert np.allclose(cc, np.einsum("nijkl->njikl", cc),
                        rtol=1e-10, atol=1e-12)
     assert np.allclose(cc, np.einsum("nijkl->nijlk", cc),
@@ -218,7 +215,7 @@ def test_rigid_increment_rotates_stress():
     rng = np.random.default_rng(16)
     s = material.pk2_stress(PARAMS, fs)
     p = material.pk1_stress(PARAMS, fs)
-    _, cc = material.lagrangian_tangent(PARAMS, fs)
+    cc = lagrangian_tensor(*material.lagrangian_tangent(PARAMS, fs)[1:])
     for n in range(len(fs)):
         w = rng.standard_normal(3)
         omega = np.array([[0.0, -w[2], w[1]],

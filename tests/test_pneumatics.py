@@ -113,6 +113,10 @@ def test_run_control_validation():
     with pytest.raises(ValueError):
         pneu.run_control(plant, ctl, duration_s=1.0, sample_hz=0.0)
     with pytest.raises(ValueError):
+        pneu.run_control(plant, ctl, duration_s=math.inf)
+    with pytest.raises(ValueError):
+        pneu.run_control(plant, ctl, duration_s=1.0, sample_hz=math.inf)
+    with pytest.raises(ValueError):
         pneu.run_control(plant, ctl, duration_s=1.0, sensor_noise_kpa=-1.0)
 
 
@@ -286,3 +290,7 @@ def test_run_bath_validation():
         pneu.run_bath(bath, ctl, duration_s=-1.0)
     with pytest.raises(ValueError):
         pneu.run_bath(bath, ctl, duration_s=1.0, dt_s=0.0)
+    with pytest.raises(ValueError):
+        pneu.run_bath(bath, ctl, duration_s=math.inf)
+    with pytest.raises(ValueError):
+        pneu.run_bath(bath, ctl, duration_s=1.0, dt_s=math.inf)
