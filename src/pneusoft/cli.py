@@ -152,8 +152,6 @@ def _cmd_calibrate(args):
 
 def _cmd_robot(args):
     cfg = _resolve_config(args)
-    if args.robot == "quad":
-        args.robot = "quadruped"
     if args.robot == "earthworm":
         params = cfgmod.earthworm_params(cfg)
         table = robots.earthworm_frequency_sweep(params, _sweep(args.sweep))
@@ -172,9 +170,8 @@ def _cmd_robot(args):
         print(f"speed at {p:g} kPa under {m:g} g: {ref:.2f} mm/s")
     elif args.robot == "gripper":
         params = cfgmod.gripper_params(cfg)
-        masses = (args.mass,) if args.mass is not None \
-            else _floats(args.masses)
-        table = robots.gripper_pressure_table(params, masses, args.diameter)
+        table = robots.gripper_pressure_table(params, _floats(args.masses),
+                                              args.diameter)
         _write_rows(args.out, "mass_g,p_min_plain_kPa,p_min_tape_kPa", table)
         for m, pp, pt in table:
             ratio = pt / pp if np.isfinite(pp) and pp > 0 else float("nan")
@@ -286,8 +283,8 @@ def build_parser():
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("robot", help="reduced-order robot predictions")
-    p.add_argument("robot", choices=("earthworm", "quadruped", "quad",
-                                     "gripper", "bath"))
+    p.add_argument("robot", choices=("earthworm", "quadruped", "gripper",
+                                     "bath"))
     p.add_argument("--out", metavar="CSV", default=None)
     p.add_argument("--sweep", metavar="START:STOP:STEP", default="0.2:1.6:0.1",
                    help="earthworm frequency grid in Hz (default %(default)s)")
@@ -298,8 +295,6 @@ def build_parser():
     p.add_argument("--pressures", default="20,30,40,50",
                    metavar="KPA[,KPA...]")
     p.add_argument("--loads", default="0,40,80,120", metavar="G[,G...]")
-    p.add_argument("--mass", type=float, default=None, metavar="G",
-                   help="report a single gripper mass instead of --masses")
     p.add_argument("--masses", default="100,150,200", metavar="G[,G...]")
     p.add_argument("--diameter", type=float, default=60.0, metavar="MM")
     p.add_argument("--duration", type=float, default=3600.0, metavar="S")
@@ -322,11 +317,9 @@ def build_parser():
     p.set_defaults(func=_cmd_control)
 
     p = sub.add_parser("verify", help="run the built-in check suite")
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--quick", action="store_true",
-                   help="fast subset only (the default)")
-    g.add_argument("--full", action="store_true",
-                   help="include the slower solver checks")
+    p.add_argument("--full", action="store_true",
+                   help="include the slower solver checks (default: the "
+                        "fast subset only)")
     _add_config_args(p)
     p.set_defaults(func=_cmd_verify)
     return parser

@@ -51,13 +51,6 @@ def parse_value(key, text, reference):
     ref = reference[key]
     text = text.strip()
     try:
-        if isinstance(ref, bool):
-            low = text.lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {text!r}")
         if isinstance(ref, int):
             return int(text)
         if isinstance(ref, float):
@@ -94,10 +87,10 @@ def load_file(path, reference):
     return out
 
 
-def resolve(path=None, overrides=(), use_env=True):
+def resolve(path=None, overrides=()):
     """Defaults, then file, then overrides; returns the resolved dict."""
     cfg = defaults()
-    if path is None and use_env:
+    if path is None:
         path = os.environ.get(ENV_VAR) or None
     if path is not None:
         cfg.update(load_file(path, cfg))
@@ -114,8 +107,6 @@ def dumps(cfg):
         value = cfg[key]
         if isinstance(value, tuple):
             text = ",".join(f"{v:g}" for v in value)
-        elif isinstance(value, bool):
-            text = "true" if value else "false"
         else:
             text = f"{value:g}" if isinstance(value, float) else str(value)
         lines.append(f"{key} = {text}")

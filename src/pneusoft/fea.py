@@ -5,10 +5,12 @@ material, and a follower pressure load integrated on the deformed cavity
 surface.  The Newton linearization carries both the material/geometric
 stiffness and the unsymmetric pressure load stiffness, so convergence
 near the solution is quadratic.  The ramp steps from one uniform load
-station to the next; a step that fails to converge, inverts an element
-or meets a singular factor is halved, down to 1/32 of the station
-spacing, and the step doubles again after each success without passing
-the next station.
+station to the next.  Each trial step gets one Newton attempt, started
+from the secant extrapolation of the last two accepted states with the
+supported DOFs set to their prescribed values.  A step that fails to
+converge, inverts an element or meets a singular factor is halved, down
+to 1/32 of the station spacing, and the step doubles again after each
+success without passing the next station.
 
 One ``Model`` per solve owns the discretization, including one
 sparsity pattern built from the node pairs that share a tet.  The
@@ -410,9 +412,10 @@ def _fallback_factor(kff, stats, cause):
         raise StepRejected(f"tangent factorization failed: {exc}") from None
 
 
-def _newton(mesh, params, model, face_set, pressure_kpa, u0, free, block,
-            prescribed_u, stats):
-    """Solve one pressure level; returns (u, iterations, residual history).
+def _newton(params, model, face_set, pressure_kpa, u0, free, block, stats):
+    """Solve one pressure level from ``u0``, whose supported DOFs already
+    hold their prescribed values; returns (u, iterations, residual
+    history).
 
     ``block`` = (take, indices, indptr) slices the free-DOF tangent out
     of the pattern's data (see ``_Pattern.free_block``).  The factorized
@@ -427,11 +430,10 @@ def _newton(mesh, params, model, face_set, pressure_kpa, u0, free, block,
     ``splu(kff)`` (COLAMD, partial pivoting) and the step solved again.
     ``stats`` counts the factorizations and fallbacks.
     """
+    mesh = model.mesh
     take, indices, indptr = block
     n_free = len(indptr) - 1
     u = u0.copy()
-    if prescribed_u is not None:
-        u = np.where(free.reshape(-1, 3), u, prescribed_u)
     history = []
     first = None
     lu = None
@@ -489,11 +491,13 @@ def solve(mesh, params, case, prescribed=None):
 
     ``prescribed`` optionally carries (mask, values) for inhomogeneous
     supports: boolean (N, 3) and target displacements, ramped with the
-    load.  Returns a Solution whose first increment is the reference
-    state and which has a row at every station of ``case``.  Raises
-    SolveError when the supports leave a rigid-body mode or an
-    element-free node unconstrained, or when an increment cannot be
-    converged even after ``MAX_BISECTIONS`` halvings.  Accepted
+    load.  Each trial step makes one Newton attempt from the secant
+    predictor (from the last state on the first step); a rejected
+    attempt halves the step.  Returns a Solution whose first increment
+    is the reference state and which has a row at every station of
+    ``case``.  Raises SolveError when the supports leave a rigid-body
+    mode or an element-free node unconstrained, or when an increment
+    cannot be converged even after ``MAX_BISECTIONS`` halvings.  Accepted
     increments, bisections and factorization fallbacks are logged at
     INFO on ``pneusoft.fea``.  Each ``Solution.log`` record holds the
     pressure, the Newton iterations and residuals of the accepted
@@ -533,23 +537,11 @@ def solve(mesh, params, case, prescribed=None):
             dt = trial - t
             # Secant predictor: extrapolating the previous increment usually
             # starts Newton inside its contraction basin.
-            starts = [u]
-            if u_prev is not None:
-                starts.insert(0, u + (u - u_prev) * (dt / dt_prev))
+            guess = u if u_prev is None else u + (u - u_prev) * (dt / dt_prev)
             try:
-                last_exc = None
-                for u_start in starts:
-                    try:
-                        un, iters, hist = _newton(
-                            mesh, params, model, case.pressure_set,
-                            trial * target, u_start, free, block,
-                            trial * values if prescribed is not None else None,
-                            stats)
-                        break
-                    except StepRejected as exc:
-                        last_exc = exc
-                else:
-                    raise last_exc
+                un, iters, hist = _newton(
+                    params, model, case.pressure_set, trial * target,
+                    np.where(mask, trial * values, guess), free, block, stats)
             except StepRejected as exc:
                 dt *= 0.5
                 if dt < floor - 1e-15:

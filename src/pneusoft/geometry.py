@@ -23,7 +23,7 @@ surface, oriented out of the solid.
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,9 +116,6 @@ class ActuatorSpec:
             raise ValueError(f"{self.kind!r} spec has no chambers")
         span = self.length - 2.0 * self.wall + self.gap
         return span / self.chambers
-
-    def with_element_size(self, element_size):
-        return replace(self, element_size=element_size)
 
 
 # archetype dimensions are calibrated so the bending kinds hit their

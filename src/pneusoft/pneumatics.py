@@ -75,8 +75,10 @@ class DeadbandController:
     band_kpa: float = 2.0
 
     def __post_init__(self):
-        if self.setpoint_kpa < 0 or self.band_kpa <= 0:
-            raise ValueError("need setpoint >= 0 and band > 0")
+        if not (math.isfinite(self.setpoint_kpa) and self.setpoint_kpa >= 0
+                and math.isfinite(self.band_kpa) and self.band_kpa > 0):
+            raise ValueError("need finite setpoint >= 0 and band > 0, got "
+                             f"{self.setpoint_kpa} and {self.band_kpa}")
 
     def command(self, t_s, pressure_kpa):
         if pressure_kpa < self.setpoint_kpa - self.band_kpa:
@@ -94,8 +96,8 @@ class DutyCycleController:
     duty: float = 0.5
 
     def __post_init__(self):
-        if self.frequency_hz <= 0:
-            raise ValueError(f"frequency must be positive, got "
+        if not (math.isfinite(self.frequency_hz) and self.frequency_hz > 0):
+            raise ValueError(f"frequency must be positive and finite, got "
                              f"{self.frequency_hz}")
         if not 0.0 < self.duty < 1.0:
             raise ValueError(f"duty must lie in (0, 1), got {self.duty}")
@@ -122,21 +124,15 @@ class ControlTrace:
                 fh.write(f"{t:.6g},{p:.6g},{int(i)},{int(v)}\n")
 
 
-def run_control(plant, controller, duration_s, sample_hz=DEFAULT_SAMPLE_HZ,
-                sensor_noise_kpa=0.0, seed=0):
+def run_control(plant, controller, duration_s, sample_hz=DEFAULT_SAMPLE_HZ):
     """Sample the controller against the plant for duration_s.
 
     Row k holds the pressure at t_k and the valve command applied until
     t_{k+1}; the final row carries the end pressure with closed valves.
-    ``sensor_noise_kpa`` adds zero-mean Gaussian noise to the pressure
-    the controller sees (never to the recorded trace); off by default.
     """
     if not all(math.isfinite(v) and v > 0 for v in (duration_s, sample_hz)):
         raise ValueError("duration and sample rate must be positive and "
                          f"finite, got {duration_s} s and {sample_hz} Hz")
-    if sensor_noise_kpa < 0:
-        raise ValueError(f"negative sensor noise {sensor_noise_kpa}")
-    rng = np.random.default_rng(seed) if sensor_noise_kpa > 0 else None
     n = int(round(duration_s * sample_hz))
     dt = 1.0 / sample_hz
     time_s = np.arange(n + 1) * dt
@@ -145,10 +141,8 @@ def run_control(plant, controller, duration_s, sample_hz=DEFAULT_SAMPLE_HZ,
     vent = np.zeros(n + 1, dtype=bool)
     for k in range(n):
         pressure[k] = plant.pressure_kpa
-        measured = plant.pressure_kpa
-        if rng is not None:
-            measured += sensor_noise_kpa * rng.standard_normal()
-        inlet[k], vent[k] = controller.command(float(time_s[k]), measured)
+        inlet[k], vent[k] = controller.command(float(time_s[k]),
+                                               plant.pressure_kpa)
         plant.step(dt, bool(inlet[k]), bool(vent[k]))
     pressure[n] = plant.pressure_kpa
     return ControlTrace(time_s=time_s, pressure_kpa=pressure,

@@ -170,6 +170,9 @@ def quadruped_speed(params, pressure_kpa, load_g=0.0):
     forward by the chord of the commanded bend angle; load shrinks the
     effective swing linearly until the robot stalls.
     """
+    if not (math.isfinite(pressure_kpa) and math.isfinite(load_g)):
+        raise ValueError("pressure and load must be finite, got "
+                         f"{pressure_kpa} kPa and {load_g} g")
     if load_g < 0:
         raise ValueError(f"negative load {load_g}")
     if pressure_kpa > params.max_pressure_kpa:
@@ -267,8 +270,9 @@ class GripperParams:
 
 def gripper_contact_pressure(params, diameter_mm=60.0):
     """Pressure where the fingers first load the object, kPa."""
-    if diameter_mm <= 0:
-        raise ValueError(f"diameter must be positive, got {diameter_mm}")
+    if not (math.isfinite(diameter_mm) and diameter_mm > 0):
+        raise ValueError("diameter must be positive and finite, got "
+                         f"{diameter_mm}")
     c = (params.contact_kpa_at_60mm
          + params.contact_slope_kpa_per_mm * (diameter_mm - 60.0))
     return max(0.0, c)
@@ -290,8 +294,9 @@ def gripper_capacity_n(params, pressure_kpa, surface="plain",
 def gripper_can_hold(params, mass_g, pressure_kpa, surface="plain",
                      diameter_mm=60.0):
     """True when the grasp supports the object weight at this pressure."""
-    if mass_g < 0:
-        raise ValueError(f"negative mass {mass_g}")
+    if not (math.isfinite(mass_g) and mass_g >= 0):
+        raise ValueError("mass must be finite and non-negative, got "
+                         f"{mass_g}")
     weight = mass_g * 1e-3 * GRAVITY_M_PER_S2
     return gripper_capacity_n(params, pressure_kpa, surface,
                               diameter_mm) >= weight
@@ -307,8 +312,9 @@ def gripper_min_pressure_kpa(params, mass_g, surface="plain",
     saturation knee or the supply cap is unreachable because extra
     pressure stops adding normal force there.
     """
-    if mass_g < 0:
-        raise ValueError(f"negative mass {mass_g}")
+    if not (math.isfinite(mass_g) and mass_g >= 0):
+        raise ValueError("mass must be finite and non-negative, got "
+                         f"{mass_g}")
     weight = mass_g * 1e-3 * GRAVITY_M_PER_S2
     contact = gripper_contact_pressure(params, diameter_mm)
     need = weight / params.finger_count - params.adhesion_n

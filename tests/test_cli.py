@@ -28,9 +28,6 @@ def test_missing_required_arguments_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["solve", "--kind", "pocket"])  # --pressure is required
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "--quick", "--full"])
-    assert exc.value.code == 2
 
 
 def test_mesh_reports_and_writes(tmp_path, capsys):
@@ -202,14 +199,23 @@ def test_robot_earthworm_sweep(tmp_path, capsys):
     ["control", "--duration", "inf"],
     ["control", "--sample-hz", "inf"],
     ["robot", "bath", "--duration", "inf"],
+    # non-finite controller and robot inputs
+    ["control", "--setpoint", "nan"],
+    ["control", "--band", "nan"],
+    ["control", "--mode", "duty", "--frequency", "nan"],
+    ["robot", "gripper", "--diameter", "nan"],
+    ["robot", "gripper", "--diameter", "inf"],
+    ["robot", "gripper", "--masses", "nan"],
+    ["robot", "quadruped", "--load", "nan"],
+    ["robot", "quadruped", "--pressure", "nan"],
 ])
 def test_bad_loop_lengths_exit_2(capsys, argv):
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_robot_quad_alias_reports_anchor(capsys):
-    rc = cli.main(["robot", "quad", "--pressure", "50", "--load", "80"])
+def test_robot_quadruped_reports_anchor(capsys):
+    rc = cli.main(["robot", "quadruped", "--pressure", "50", "--load", "80"])
     assert rc == 0
     stdout = capsys.readouterr().out
     assert "speed at 50 kPa under 80 g" in stdout
@@ -218,7 +224,7 @@ def test_robot_quad_alias_reports_anchor(capsys):
 
 
 def test_robot_gripper_single_mass(capsys):
-    rc = cli.main(["robot", "gripper", "--mass", "0"])
+    rc = cli.main(["robot", "gripper", "--masses", "0"])
     assert rc == 0
     stdout = capsys.readouterr().out
     assert "plain    5.000 kPa" in stdout
@@ -259,7 +265,7 @@ def test_control_deadband_and_duty(tmp_path, capsys):
 
 
 def test_verify_quick_passes(capsys):
-    rc = cli.main(["verify", "--quick"])
+    rc = cli.main(["verify"])
     assert rc == 0
     stdout = capsys.readouterr().out
     assert "4/4 checks passed" in stdout

@@ -52,7 +52,6 @@ def test_resolve_reads_environment(tmp_path, monkeypatch):
     path.write_text("material.c10_mpa = 0.42\n")
     monkeypatch.setenv(cfgmod.ENV_VAR, str(path))
     assert cfgmod.resolve()["material.c10_mpa"] == 0.42
-    assert cfgmod.resolve(use_env=False)["material.c10_mpa"] == 0.24
 
 
 def test_unknown_key_is_rejected_with_suggestions():
@@ -70,11 +69,6 @@ def test_value_coercion_by_reference_type():
     assert cfgmod.parse_value("material.c10_mpa", "0.3", cfg) == 0.3
     table = cfgmod.parse_value("quadruped.bend_table_kpa", "0, 10, 20", cfg)
     assert table == (0.0, 10.0, 20.0)
-    ref = {"a.flag": True}
-    assert cfgmod.parse_value("a.flag", "off", ref) is False
-    assert cfgmod.parse_value("a.flag", "Yes", ref) is True
-    with pytest.raises(ValueError, match="boolean"):
-        cfgmod.parse_value("a.flag", "maybe", ref)
     with pytest.raises(ValueError):
         cfgmod.parse_value("solver.increments", "sixty", cfg)
 

@@ -34,13 +34,6 @@ def test_chamber_pitch():
     assert spec.chamber_pitch() == pytest.approx((70.0 - 8.0 + 2.0) / 4.0)
 
 
-def test_with_element_size():
-    spec = geometry.ActuatorSpec(kind="bending1")
-    finer = spec.with_element_size(0.5)
-    assert finer.element_size == 0.5
-    assert finer.kind == spec.kind and finer.length == spec.length
-
-
 def test_generate_rejects_bad_dimensions():
     cases = [
         (dict(kind="linear", wall=0.0), "wall"),

@@ -116,29 +116,6 @@ def test_run_control_validation():
         pneu.run_control(plant, ctl, duration_s=math.inf)
     with pytest.raises(ValueError):
         pneu.run_control(plant, ctl, duration_s=1.0, sample_hz=math.inf)
-    with pytest.raises(ValueError):
-        pneu.run_control(plant, ctl, duration_s=1.0, sensor_noise_kpa=-1.0)
-
-
-def test_sensor_noise_reproducible_and_optional():
-    def run(noise, seed):
-        plant = pneu.PneumaticPlant(supply_kpa=250.0)
-        ctl = pneu.DeadbandController(setpoint_kpa=40.0, band_kpa=2.0)
-        return pneu.run_control(plant, ctl, duration_s=2.0, sample_hz=50.0,
-                                sensor_noise_kpa=noise, seed=seed)
-
-    clean_a = run(0.0, 0)
-    clean_b = run(0.0, 1)
-    # zero noise never draws from the generator
-    assert np.array_equal(clean_a.pressure_kpa, clean_b.pressure_kpa)
-
-    noisy_a = run(1.5, 7)
-    noisy_b = run(1.5, 7)
-    assert np.array_equal(noisy_a.pressure_kpa, noisy_b.pressure_kpa)
-    assert not np.array_equal(noisy_a.pressure_kpa, clean_a.pressure_kpa)
-    # the trace logs true pressure, which stays physical
-    assert np.all(noisy_a.pressure_kpa >= 0.0)
-    assert np.all(noisy_a.pressure_kpa <= 250.0)
 
 
 def test_control_trace_csv(tmp_path):
