@@ -20,14 +20,14 @@ free-DOF block cut from the same data by a precomputed index, so no
 sparse structure is rebuilt per iteration.
 
 SuperLU factors that block with the minimum-degree ordering of A^T + A,
-symmetric mode and no pivoting, which suits the nearly symmetric
-tangents of closed cavities (about 40 % less L+U fill than COLAMD).  The
-tangent is unsymmetric in general and can turn indefinite near an
-instability, so each solve with that factor is checked: when SuperLU
-rejects the matrix or the back-solve residual exceeds
-``_SOLVE_RTOL`` times the right-hand side, the block is refactored with
-COLAMD and partial pivoting.  Each increment record of a Solution counts
-its factorizations and these fallbacks.
+symmetric mode, no pivoting and no relaxed supernodes, which suits the
+nearly symmetric tangents of closed cavities (43-55 % less L+U fill than
+COLAMD on the pocket and bending tangents).  The tangent is unsymmetric
+in general and can turn indefinite near an instability, so each solve
+with that factor is checked: when SuperLU rejects the matrix or the
+back-solve's normwise backward error exceeds ``_BACKWARD_TOL``, the block
+is refactored with COLAMD and partial pivoting.  Each increment record of
+a Solution counts its factorizations and these fallbacks.
 
 Units: mm, N, MPa internally; pressures cross the API in kPa.
 """
@@ -52,11 +52,12 @@ ABS_TOL = 1e-10          # newtons
 MAX_NEWTON_ITERS = 30
 MAX_BISECTIONS = 5
 DIVERGENCE_FACTOR = 1e6
-# the fast factorization of the free-DOF tangent, and the relative
-# back-solve residual above which the COLAMD/partial-pivoting fallback runs
-_FAST_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+# the fast factorization of the free-DOF tangent (relax=1: no relaxed
+# supernodes, which would store explicit zeros), and the normwise backward
+# error of a back-solve above which the COLAMD/partial-pivoting fallback runs
+_FAST_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1,
                 options=dict(SymmetricMode=True))
-_SOLVE_RTOL = 1e-8
+_BACKWARD_TOL = 1e-12
 
 _EYE = np.eye(3)
 _EPS3 = np.zeros((3, 3, 3))
@@ -424,11 +425,13 @@ def _newton(params, model, face_set, pressure_kpa, u0, free, block, stats):
     iterations but saves most of the sparse factorizations.
 
     Each factorization first tries ``_FAST_LU`` (minimum degree on
-    A^T + A, symmetric mode, no pivoting).  If SuperLU raises, or a
-    back-solve with that factor leaves a residual above ``_SOLVE_RTOL``
-    times the right-hand side, the tangent is refactored by
-    ``splu(kff)`` (COLAMD, partial pivoting) and the step solved again.
-    ``stats`` counts the factorizations and fallbacks.
+    A^T + A, symmetric mode, no pivoting, no relaxed supernodes).  If
+    SuperLU raises, or a back-solve K du = -r with that factor has
+    ||K du + r|| > ``_BACKWARD_TOL`` (||K||_1 ||du|| + ||r||), the tangent
+    is refactored by ``splu(kff)`` (COLAMD, partial pivoting) and the step
+    solved again.  The bound scales with the matrix, not with the
+    residual alone, which vanishes near convergence.  ``stats`` counts
+    the factorizations and fallbacks.
     """
     mesh = model.mesh
     take, indices, indptr = block
@@ -469,16 +472,18 @@ def _newton(params, model, face_set, pressure_kpa, u0, free, block, stats):
             stats["factorizations"] += 1
             try:
                 lu, fast = splu(kff, **_FAST_LU), True
+                knorm = float(abs(kff).sum(axis=0).max())  # ||K_ff||_1
             except RuntimeError as exc:
                 lu, fast = _fallback_factor(
                     kff, stats, f"fast factorization failed: {exc}"), False
         du = lu.solve(-resid)
         if fast:
             err = float(np.linalg.norm(kff @ du + resid))
-            if not err <= _SOLVE_RTOL * rnorm:         # NaN fails too
+            bound = _BACKWARD_TOL * (knorm * float(np.linalg.norm(du)) + rnorm)
+            if not err <= bound:                       # NaN fails too
                 lu, fast = _fallback_factor(
                     kff, stats, f"back-solve residual {err:.3e} exceeds "
-                    f"{_SOLVE_RTOL:g} x {rnorm:.3e}"), False
+                    f"the backward-error bound {bound:.3e}"), False
                 du = lu.solve(-resid)
         u = u.reshape(-1)
         u[free] += du

@@ -383,14 +383,16 @@ def generate_mesh(spec):
     ``element_size`` exceeds half the thinnest feature but still meshes.
     """
     for name in ("length", "width", "height", "wall", "strain_wall",
-                 "cap", "inlet_wall"):
+                 "cap", "inlet_wall", "element_size"):
         v = getattr(spec, name)
-        if v is not None and v <= 0:
-            raise ValueError(f"spec.{name} must be positive, got {v}")
-    if spec.element_size <= 0:
-        raise ValueError(f"element_size must be positive, got {spec.element_size}")
-    if spec.bellows_count < 0 or spec.bellows_depth < 0 or spec.gap < 0:
-        raise ValueError("bellows and gap parameters must be non-negative")
+        if v is not None and not (math.isfinite(v) and v > 0):
+            raise ValueError(f"spec.{name} must be positive and finite, got {v}")
+    for name in ("gap", "bellows_depth"):
+        v = getattr(spec, name)
+        if not (math.isfinite(v) and v >= 0):
+            raise ValueError(f"spec.{name} must be non-negative and finite, got {v}")
+    if spec.bellows_count < 0:
+        raise ValueError("bellows_count must be non-negative")
     if spec.kind in ("bending1", "bending2") and spec.chambers < 1:
         raise ValueError("bending kinds need at least one chamber")
     if spec.kind == "tube" and spec.symmetric_half:

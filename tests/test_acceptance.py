@@ -232,6 +232,14 @@ def test_criterion_09_bending_angles(bending_solutions):
     assert t1 < 600.0 and t2 < 600.0
 
 
+def test_bending_solves_spend_no_fallback(bending_solutions):
+    # the fast factors are accurate here, so none may be refactored
+    logs = {kind: sol.log for kind, (_, sol, _) in bending_solutions.items()}
+    for kind, log in logs.items():
+        assert sum(rec["fallbacks"] for rec in log) == 0, kind
+    assert sum(rec["factorizations"] for rec in logs["bending1"]) < 160
+
+
 def test_quadruped_bend_table_matches_bending_solve(bending_solutions):
     # the quadruped model's bend table is copied from this solve
     m2, sol2, _ = bending_solutions["bending2"]

@@ -1,5 +1,10 @@
 """End-to-end command-line behaviour, exit codes and file outputs."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +24,15 @@ def test_version_flag(capsys):
         cli.main(["--version"])
     assert exc.value.code == 0
     assert "pneusoft" in capsys.readouterr().out
+
+
+def test_python_m_runs_the_cli():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "pneusoft", "--version"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "pneusoft" in done.stdout
 
 
 def test_missing_required_arguments_exit_2():
@@ -208,6 +222,9 @@ def test_robot_earthworm_sweep(tmp_path, capsys):
     ["robot", "gripper", "--masses", "nan"],
     ["robot", "quadruped", "--load", "nan"],
     ["robot", "quadruped", "--pressure", "nan"],
+    # non-finite mesh dimensions
+    ["mesh", "--kind", "cube", "--element-size", "inf"],
+    ["mesh", "--kind", "linear", "--length", "nan"],
 ])
 def test_bad_loop_lengths_exit_2(capsys, argv):
     assert cli.main(argv) == 2

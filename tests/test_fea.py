@@ -306,19 +306,22 @@ def test_fast_factor_solve_matches_partial_pivoting(pocket_coarse, monkeypatch):
     calls = []
 
     def spy(k, **kwargs):
-        calls.append((k, kwargs))
-        return splu(k, **kwargs)
+        lu = splu(k, **kwargs)
+        calls.append((k, kwargs, lu))
+        return lu
 
     monkeypatch.setattr(fea, "splu", spy)
     sol = fea.solve(pocket_coarse, PARAMS, POCKET_RAMP)
-    assert all(kwargs for _, kwargs in calls)
+    assert all(kwargs for _, kwargs, _ in calls)
     assert sum(rec["factorizations"] for rec in sol.log) == len(calls)
     assert all(rec["fallbacks"] == 0 for rec in sol.log)
-    kff, kwargs = calls[-1]
+    kff, kwargs, lu = calls[-1]
     b = np.random.default_rng(3).standard_normal(kff.shape[0])
     want = splu(kff).solve(b)
-    got = splu(kff, **kwargs).solve(b)
-    assert np.linalg.norm(got - want) < 1e-10 * np.linalg.norm(want)
+    assert np.linalg.norm(lu.solve(b) - want) < 1e-10 * np.linalg.norm(want)
+    # without relaxed supernodes the factor stores no padding zeros
+    relaxed = {k: v for k, v in kwargs.items() if k != "relax"}
+    assert lu.nnz < splu(kff, **relaxed).nnz
 
 
 @pytest.mark.parametrize("error", [1e-3, np.nan])

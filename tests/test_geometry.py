@@ -1,5 +1,7 @@
 """Parametric actuator meshing: archetypes, sets, validation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,12 @@ def test_generate_rejects_bad_dimensions():
         (dict(kind="bending1", chambers=0), "chamber"),
         (dict(kind="linear", bellows_depth=-1.0), "bellows"),
         (dict(kind="pocket", element_size=-1.0), "element_size"),
+        # non-finite values would mesh or fail far from their cause
+        (dict(kind="cube", element_size=math.inf), "element_size"),
+        (dict(kind="linear", length=math.nan), "length"),
+        (dict(kind="bending1", wall=math.inf), "wall"),
+        (dict(kind="bending1", gap=math.nan), "gap"),
+        (dict(kind="linear", bellows_depth=math.inf), "bellows_depth"),
     ]
     for kwargs, match in cases:
         spec = geometry.ActuatorSpec(**kwargs)
