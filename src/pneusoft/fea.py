@@ -13,11 +13,12 @@ to 1/32 of the station spacing, and the step doubles again after each
 success without passing the next station.
 
 One ``Model`` per solve owns the discretization, including one
-sparsity pattern built from the node pairs that share a tet.  The
-element tangents and the cavity face load stiffness are each summed
-into that pattern's CSC data with one scatter, and Newton factors the
-free-DOF block cut from the same data by a precomputed index, so no
-sparse structure is rebuilt per iteration.
+sparsity pattern: the sorted keys column * 3N + row of the DOF pairs
+that share a tet, which are its CSC entries in order.  The element
+tangents and the cavity face load stiffness are each summed into that
+CSC data with one scatter, and Newton factors the free-DOF block cut
+from the same data by a precomputed index, so no sparse structure is
+rebuilt per iteration.
 
 SuperLU factors that block with the minimum-degree ordering of A^T + A,
 symmetric mode, no pivoting and no relaxed supernodes, which suits the
@@ -35,7 +36,6 @@ Units: mm, N, MPa internally; pressures cross the API in kPa.
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -127,76 +127,11 @@ _TRI_N = tri6_shape(_TRI_QP)                               # (q, 6)
 _TRI_DN = tri6_shape_grad(_TRI_QP)                         # (q, 6, 2)
 
 
-class _Pattern:
-    """CSC structure of the (3N, 3N) stiffness on the node pairs of the tets.
-
-    Every node pair (a, b) that shares a tet owns one 3x3 block.  The
-    pairs are sorted by column node, then row node, so DOF column
-    3b + k holds the blocks of column node b in row order, each giving
-    rows 3a, 3a + 1, 3a + 2.  ``tet_pos`` places every entry of the
-    element matrices in ``data``; one ``np.bincount`` sums them there.
-    """
-
-    def __init__(self, mesh):
-        n = mesh.n_nodes
-        self.n_dof = 3 * n
-        self.pairs = np.unique(_pair_keys(mesh.tets, n))
-        col = self.pairs // n
-        self.count = np.bincount(col, minlength=n)        # blocks per column node
-        self.start = np.cumsum(self.count) - self.count    # first block of each
-        self.nnz = 9 * self.pairs.size
-        idx = np.int32 if max(self.nnz, self.n_dof) < 2 ** 31 else np.int64
-        self.indptr = np.empty(self.n_dof + 1, dtype=idx)
-        self.indptr[:-1] = (9 * self.start[:, None]
-                            + 3 * self.count[:, None] * _AX3).ravel()
-        self.indptr[-1] = self.nnz
-        self.indices = np.empty(self.nnz, dtype=idx)
-        pos = self._block(np.arange(self.pairs.size), col)
-        self.indices[pos] = 3 * (self.pairs % n)[:, None, None] + _AX3
-        # element tangents come as (M, row node, row axis, column node,
-        # column axis), so their positions are laid out that way once here
-        self.tet_pos = self.scatter(mesh.tets).reshape(
-            len(mesh.tets), 10, 10, 3, 3).transpose(0, 1, 4, 2, 3).ravel()
-
-    def _block(self, p, b):
-        """Data positions of pair p in column node b, (..., 3 col axes,
-        3 row axes)."""
-        start = self.start[b][..., None, None]
-        return (9 * start + 3 * (p[..., None, None] - start) + _AX3
-                + 3 * self.count[b][..., None, None] * _AX3[:, None])
-
-    def scatter(self, conn):
-        """Data positions of the element matrices on nodes ``conn`` (K, m),
-        flattened from (K, row node, column node, column axis, row axis).
-
-        Raises ValueError for a node pair outside the pattern, whose
-        entries would otherwise be lost.
-        """
-        keys = _pair_keys(conn, self.n_dof // 3)
-        p = np.searchsorted(self.pairs, keys)
-        if not np.all(np.append(self.pairs, -1)[p] == keys):
-            raise ValueError("element node pairs fall outside the sparsity "
-                             "pattern of the tets; every face must lie on a tet")
-        return self._block(p, np.broadcast_to(conn[:, None, :], keys.shape)).ravel()
-
-    def matrix(self, pos, values):
-        """The (3N, 3N) CSC matrix of ``values`` summed into ``pos``."""
-        data = np.bincount(pos, weights=values.ravel(), minlength=self.nnz)
-        return sparse.csc_matrix((data, self.indices, self.indptr),
-                                 shape=(self.n_dof, self.n_dof))
-
-    def free_block(self, free):
-        """(take, indices, indptr) of the CSC block K[free][:, free],
-        whose data is ``K.data[take]`` for any K on this pattern."""
-        ids = sparse.csc_matrix((np.arange(1, self.nnz + 1), self.indices,
-                                 self.indptr), shape=(self.n_dof, self.n_dof))
-        block = ids.tocsr()[free][:, free].tocsc()
-        return block.data - 1, block.indices, block.indptr
-
-
-def _pair_keys(conn, n_nodes):
-    """Keys column * N + row of the node pairs of each element, (K, m, m)."""
-    return conn[:, None, :] * n_nodes + conn[:, :, None]
+def _dof_keys(conn, n_dof):
+    """Keys column * 3N + row of the DOF pairs of each element on nodes
+    ``conn`` (K, m), laid out (K, (a, i), (b, k))."""
+    dof = (3 * conn[..., None] + _AX3).reshape(len(conn), 3 * conn.shape[1])
+    return dof[:, None, :] * n_dof + dof[:, :, None]
 
 
 class Model:
@@ -205,8 +140,11 @@ class Model:
 
     Construction computes the reference tet data at the quadrature
     points: ``dndx`` = dN_a/dX (M, q, 10, 3), ``detjw`` = w det J (M, q)
-    and ``wdndx`` = w dN_a/dX_K laid out (M, a, (q, K)).  The sparsity
-    ``pattern`` and the face-set data are built on first use.
+    and ``wdndx`` = w dN_a/dX_K laid out (M, a, (q, K)).  It also builds
+    the CSC structure (``indptr``, ``indices``) of the (3N, 3N)
+    stiffness on the DOF pairs that share a tet, and ``tet_pos``, the
+    position in its data of every entry of the element matrices laid
+    out (M, (a, i), (b, k)).  The face-set data are built on first use.
     """
 
     def __init__(self, mesh):
@@ -225,13 +163,19 @@ class Model:
         self.detjw = det * w[None, :]
         self.wdndx = (self.dndx * self.detjw[..., None, None]).transpose(
             0, 2, 1, 3).reshape(len(mesh.tets), 10, 3 * len(w))
+        # the sorted distinct keys are the stored entries in CSC order; a
+        # sort and a search hold less memory than np.unique's inverse
+        self.n_dof = n = 3 * mesh.n_nodes
+        keys = _dof_keys(mesh.tets, n).ravel()
+        self._keys = np.sort(keys)
+        self._keys = self._keys[np.diff(self._keys, prepend=-1) != 0]
+        self.tet_pos = np.searchsorted(self._keys, keys)
+        idx = np.int32 if max(self._keys.size, n) < 2 ** 31 else np.int64
+        self.indices = (self._keys % n).astype(idx)
+        self.indptr = np.searchsorted(
+            self._keys, np.arange(n + 1) * n).astype(idx)
         self._faces = {}
         self._face_pos = {}
-
-    @cached_property
-    def pattern(self):
-        """The sparsity pattern of the tets that every stiffness uses."""
-        return _Pattern(self.mesh)
 
     def def_grad(self, u):
         """Deformation gradients at the quadrature points, (M, q, 3, 3)."""
@@ -246,10 +190,37 @@ class Model:
         return self._faces[name]
 
     def face_pos(self, name):
-        """Where the load stiffness of face set ``name`` goes in ``pattern``."""
+        """Data positions of the load stiffness of face set ``name``,
+        laid out (K, (a, i), (b, k)).
+
+        Raises ValueError for a DOF pair outside the sparsity pattern,
+        whose entries would otherwise be lost.
+        """
         if name not in self._face_pos:
-            self._face_pos[name] = self.pattern.scatter(self.faces(name)[0])
+            keys = _dof_keys(self.faces(name)[0], self.n_dof).ravel()
+            pos = np.searchsorted(self._keys, keys)
+            if not np.all(np.append(self._keys, -1)[pos] == keys):
+                raise ValueError("element node pairs fall outside the "
+                                 "sparsity pattern of the tets; every face "
+                                 "must lie on a tet")
+            self._face_pos[name] = pos
         return self._face_pos[name]
+
+    def _matrix(self, pos, values):
+        """The (3N, 3N) CSC matrix of ``values`` summed into ``pos``."""
+        data = np.bincount(pos, weights=values.ravel(),
+                           minlength=len(self.indices))
+        return sparse.csc_matrix((data, self.indices, self.indptr),
+                                 shape=(self.n_dof, self.n_dof))
+
+    def _free_block(self, free):
+        """(take, indices, indptr) of the CSC block K[free][:, free],
+        whose data is ``K.data[take]`` for any K on this pattern."""
+        nnz = len(self.indices)
+        ids = sparse.csc_matrix((np.arange(1, nnz + 1), self.indices,
+                                 self.indptr), shape=(self.n_dof, self.n_dof))
+        block = ids.tocsr()[free][:, free].tocsc()
+        return block.data - 1, block.indices, block.indptr
 
 
 def _node_sum(conn, values, n_nodes):
@@ -315,7 +286,7 @@ def tangent_stiffness(mesh, params, u, *, model=None):
     kg = model.wdndx @ (sc @ model.dndx.swapaxes(-1, -2)).reshape(n_e, 3 * n_q, 10)
     for i in range(3):
         ke5[:, :, i, :, i] += kg
-    return model.pattern.matrix(model.pattern.tet_pos, ke)
+    return model._matrix(model.tet_pos, ke)
 
 
 def _face_geometry(x, faces):
@@ -352,9 +323,9 @@ def pressure_stiffness(mesh, pressure_kpa, u, face_set="cavity", *,
     p = KPA_TO_MPA * pressure_kpa
     a1 = np.einsum("imk,fqk->fqim", _EPS3, t[..., 1])
     a2 = np.einsum("ijm,fqj->fqim", _EPS3, t[..., 0])
-    ke = -p * (np.einsum("qa,q,fqim,qb->fabmi", _TRI_N, _TRI_W, a1, _TRI_DN[:, :, 0])
-               + np.einsum("qa,q,fqim,qb->fabmi", _TRI_N, _TRI_W, a2, _TRI_DN[:, :, 1]))
-    return model.pattern.matrix(model.face_pos(face_set), ke)
+    ke = -p * (np.einsum("qa,q,fqim,qb->faibm", _TRI_N, _TRI_W, a1, _TRI_DN[:, :, 0])
+               + np.einsum("qa,q,fqim,qb->faibm", _TRI_N, _TRI_W, a2, _TRI_DN[:, :, 1]))
+    return model._matrix(model.face_pos(face_set), ke)
 
 
 # ----------------------------------------------------------------- solver
@@ -374,11 +345,12 @@ def _fixed_mask(mesh, case):
 _RIGID_MODES = ("x", "y", "z", "rot-x", "rot-y", "rot-z")
 
 
-def _check_supports(mesh, mask, pattern):
+def _check_supports(mesh, mask):
     """Raise SolveError when the constrained DOFs ``mask`` leave the
     tangent singular: a rigid-body mode free, or a free DOF of a node
     that no tet uses."""
-    orphans = np.flatnonzero((pattern.count == 0) & ~mask.all(axis=1))
+    unused = np.bincount(mesh.tets.ravel(), minlength=mesh.n_nodes) == 0
+    orphans = np.flatnonzero(unused & ~mask.all(axis=1))
     if orphans.size:
         raise SolveError(f"nodes {orphans[:10].tolist()} belong to no element "
                          "but are not fully constrained; the tangent is singular")
@@ -419,9 +391,9 @@ def _newton(params, model, face_set, pressure_kpa, u0, free, block, stats):
     history).
 
     ``block`` = (take, indices, indptr) slices the free-DOF tangent out
-    of the pattern's data (see ``_Pattern.free_block``).  The factorized
-    tangent is reused across iterations and rebuilt only when the
-    residual contraction degrades, which costs a few extra cheap
+    of the model's stiffness data (see ``Model._free_block``).  The
+    factorized tangent is reused across iterations and rebuilt only when
+    the residual contraction degrades, which costs a few extra cheap
     iterations but saves most of the sparse factorizations.
 
     Each factorization first tries ``_FAST_LU`` (minimum degree on
@@ -457,7 +429,7 @@ def _newton(params, model, face_set, pressure_kpa, u0, free, block, stats):
             first = max(rnorm, ABS_TOL)
         elif rnorm > DIVERGENCE_FACTOR * first:
             raise StepRejected(f"Newton diverged, residual {rnorm:.3e}")
-        stalled = history and rnorm > 0.3 * history[-1]
+        stalled = bool(history) and rnorm > 0.3 * history[-1]
         history.append(rnorm)
         if lu is None or stalled:
             try:
@@ -517,8 +489,8 @@ def solve(mesh, params, case, prescribed=None):
         mask = mask | pmask
         values = np.where(pmask, pvalues, values)
     free = ~mask.reshape(-1)
-    _check_supports(mesh, mask, model.pattern)
-    block = model.pattern.free_block(free)
+    _check_supports(mesh, mask)
+    block = model._free_block(free)
 
     u = np.zeros((mesh.n_nodes, 3))
     stats = {"factorizations": 0, "fallbacks": 0}

@@ -30,6 +30,10 @@ import numpy as np
 from .mesh import Mesh, promote_to_tet10
 
 KINDS = ("linear", "bending1", "bending2", "cube", "pocket", "tube")
+# generate_mesh refuses specs estimated above this many nodes, which
+# would take about 0.5 GB to mesh and far more to solve (bending2 at
+# 1 mm has 215 k nodes)
+MAX_MESH_NODES = 1_000_000
 
 # six tets per cell, all sharing the (0,0,0)-(1,1,1) diagonal,
 # positively oriented
@@ -288,7 +292,9 @@ def _solid_cavity_boxes(spec):
     return solid, cavities
 
 
-def _box_mesh(spec):
+def _box_layout(spec):
+    """Solid and cavity boxes of a box kind, clipped to x >= 0 on half
+    models, and the grid breaks of each axis."""
     solid_boxes, cavity_boxes = _solid_cavity_boxes(spec)
     if spec.symmetric_half:
         def clip(boxes):
@@ -300,8 +306,12 @@ def _box_mesh(spec):
     for box in solid_boxes + cavity_boxes:
         for ax in range(3):
             breaks[ax].update(box[ax])
-    es = spec.element_size
-    xs, ys, zs = (_axis_lines(sorted(br), es) for br in breaks)
+    return solid_boxes, cavity_boxes, [sorted(br) for br in breaks]
+
+
+def _box_mesh(spec):
+    solid_boxes, cavity_boxes, breaks = _box_layout(spec)
+    xs, ys, zs = (_axis_lines(br, spec.element_size) for br in breaks)
 
     cxg, cyg, czg = np.meshgrid(0.5 * (xs[:-1] + xs[1:]),
                                 0.5 * (ys[:-1] + ys[1:]),
@@ -376,11 +386,31 @@ def _tube_mesh(spec):
     return Mesh(nodes=nodes, tets=tets, node_sets=node_sets, face_sets=face_sets)
 
 
+def _estimated_nodes(spec):
+    """About 8 tet10 nodes per point of the structured grid of ``spec``,
+    counted without building it; inf for a vanishing element size."""
+    h = spec.element_size
+    if spec.kind == "tube":
+        r_out = spec.width / 2.0
+        r_in = r_out - spec.wall
+        axes = ([r_in, r_out], [0.0, spec.length])
+        points = max(8.0, math.pi * (r_in + r_out) / h)    # theta lines
+    else:
+        axes = _box_layout(spec)[2]
+        points = 1.0
+    for br in axes:
+        points *= 1.0 + sum(max(1.0, (b1 - b0) / h)
+                            for b0, b1 in zip(br, br[1:]))
+    return 8.0 * points
+
+
 def generate_mesh(spec):
     """Structured quadratic-tet mesh for an ActuatorSpec.
 
     Deterministic: equal specs give byte-identical meshes.  Warns when
     ``element_size`` exceeds half the thinnest feature but still meshes.
+    Raises ValueError, before allocating anything, when the mesh would
+    have more than about ``MAX_MESH_NODES`` nodes.
     """
     for name in ("length", "width", "height", "wall", "strain_wall",
                  "cap", "inlet_wall", "element_size"):
@@ -398,6 +428,11 @@ def generate_mesh(spec):
     if spec.kind == "tube" and spec.symmetric_half:
         raise ValueError("symmetric_half applies to box kinds only")
     _check_element_size(spec)
+    nodes = _estimated_nodes(spec)
+    if nodes > MAX_MESH_NODES:
+        raise ValueError(f"element_size {spec.element_size:g} mm asks for "
+                         f"about {nodes:.3g} mesh nodes, more than the "
+                         f"{MAX_MESH_NODES} allowed; enlarge element_size")
     if spec.kind == "tube":
         return _tube_mesh(spec)
     return _box_mesh(spec)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pneusoft import cli, config as cfgmod, verify
+from pneusoft import cli, config as cfgmod, geometry, verify
 from pneusoft import mesh as meshmod
 
 from conftest import coarse_mesh, with_orphan_node
@@ -74,6 +74,15 @@ def test_mesh_half_tube_exits_2(capsys):
     rc = cli.main(["mesh", "--kind", "tube", "--half"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_mesh_over_node_cap_exits_2(monkeypatch, capsys):
+    # a spec over the node cap fails as a usage error
+    monkeypatch.setattr(geometry, "MAX_MESH_NODES", 100)
+    rc = cli.main(["solve", "--kind", "pocket", "--element-size", "2",
+                   "--pressure", "10"])
+    assert rc == 2
+    assert "mesh nodes" in capsys.readouterr().err
 
 
 def test_solve_zero_pressure_writes_reference_row(tmp_path, capsys):

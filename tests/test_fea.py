@@ -77,6 +77,7 @@ def test_tangent_matches_elementwise_reference(name, request):
     u = _random_displacement(mesh, 7)
     kt = fea.tangent_stiffness(mesh, PARAMS, u)
     assert kt.format == "csc" and kt.shape == (3 * mesh.n_nodes,) * 2
+    assert kt.has_canonical_format              # sorted, no duplicates
     diff = _reference_tangent(mesh, u)
     scale = np.max(np.abs(diff))
     coo = kt.tocoo()

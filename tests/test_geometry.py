@@ -133,6 +133,20 @@ def test_bending2_fine_mesh_is_valid():
     assert q.n_inverted == 0 and q.n_poor == 0
 
 
+@pytest.mark.parametrize("kind, size, half", [("pocket", 2.0, False),
+                                              ("bending2", 8.0, True),
+                                              ("tube", 2.5, False)])
+def test_node_cap_refuses_oversized_specs(kind, size, half, monkeypatch):
+    # the estimate lies within a factor of two of the real node count,
+    # so a cap at twice the count meshes and one at half of it refuses
+    n = coarse_mesh(kind, size, symmetric_half=half).n_nodes
+    monkeypatch.setattr(geometry, "MAX_MESH_NODES", 2 * n)
+    assert coarse_mesh(kind, size, symmetric_half=half).n_nodes == n
+    monkeypatch.setattr(geometry, "MAX_MESH_NODES", n // 2)
+    with pytest.raises(ValueError, match="about .* mesh nodes"):
+        coarse_mesh(kind, size, symmetric_half=half)
+
+
 def test_generation_is_deterministic(tmp_path):
     a = coarse_mesh("bending1", 4.0)
     b = coarse_mesh("bending1", 4.0)
