@@ -6,11 +6,15 @@ surface.  The Newton linearization carries both the material/geometric
 stiffness and the unsymmetric pressure load stiffness, so convergence
 near the solution is quadratic.  The ramp steps from one uniform load
 station to the next.  Each trial step gets one Newton attempt, started
-from the secant extrapolation of the last two accepted states with the
-supported DOFs set to their prescribed values.  A step that fails to
-converge, inverts an element or meets a singular factor is halved, down
-to 1/32 of the station spacing, and the step doubles again after each
-success without passing the next station.
+from the quadratic extrapolation of the last three accepted states (the
+secant while fewer exist) with the supported DOFs set to their
+prescribed values.  Newton accepts a state only when both the residual
+and the last correction are small, and it discards a chord step (one
+with a reused factor) that does not contract, so the answer is bounded
+and not just balanced.  A step that fails to converge, inverts an
+element or meets a singular factor is halved, down to 1/32 of the
+station spacing, and the step doubles again after each success without
+passing the next station.
 
 One ``Model`` per solve owns the discretization, including one
 sparsity pattern: the sorted keys column * 3N + row of the DOF pairs
@@ -35,6 +39,7 @@ Units: mm, N, MPa internally; pressures cross the API in kPa.
 
 import logging
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +63,11 @@ DIVERGENCE_FACTOR = 1e6
 _FAST_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1,
                 options=dict(SymmetricMode=True))
 _BACKWARD_TOL = 1e-12
+# an accepted state's last Newton correction is at most this times ||u||;
+# a chord correction (reused factor) that does not shrink below this
+# times the previous one is discarded and solved with a fresh factor
+_CORRECTION_TOL = 1e-8
+_CHORD_CONTRACTION = 0.25
 
 _EYE = np.eye(3)
 _EPS3 = np.zeros((3, 3, 3))
@@ -388,13 +398,24 @@ def _fallback_factor(kff, stats, cause):
 def _newton(params, model, face_set, pressure_kpa, u0, free, block, stats):
     """Solve one pressure level from ``u0``, whose supported DOFs already
     hold their prescribed values; returns (u, iterations, residual
-    history).
+    history, correction).
+
+    A state is accepted when its residual passes the ``REL_TOL`` test
+    *and* the Newton correction that produced it has ||du|| <=
+    ``_CORRECTION_TOL`` ||u||, so every call takes at least one step;
+    ``correction`` is that last ||du|| / ||u||.  The residual alone does
+    not bound the answer: the softest tangent mode of a bending finger
+    is the bending the angle measures, so a small residual can still
+    leave a large error in it.
 
     ``block`` = (take, indices, indptr) slices the free-DOF tangent out
     of the model's stiffness data (see ``Model._free_block``).  The
-    factorized tangent is reused across iterations and rebuilt only when
-    the residual contraction degrades, which costs a few extra cheap
-    iterations but saves most of the sparse factorizations.
+    factorized tangent is reused across iterations (chord steps) and
+    rebuilt when the residual stalls (above 0.3 times the previous
+    one).  A chord correction that does not shrink to
+    ``_CHORD_CONTRACTION`` times the previous correction is discarded
+    and solved again with a factor at the same ``u``, so no residual is
+    spent on it.  The old factor is released before the next is built.
 
     Each factorization first tries ``_FAST_LU`` (minimum degree on
     A^T + A, symmetric mode, no pivoting, no relaxed supernodes).  If
@@ -411,7 +432,8 @@ def _newton(params, model, face_set, pressure_kpa, u0, free, block, stats):
     u = u0.copy()
     history = []
     first = None
-    lu = None
+    kff = lu = None
+    correction = dnorm = math.inf
     for it in range(MAX_NEWTON_ITERS):
         try:
             fint = internal_force(mesh, params, u, model=model)
@@ -422,45 +444,63 @@ def _newton(params, model, face_set, pressure_kpa, u0, free, block, stats):
         resid = (fint - fext).reshape(-1)[free]
         rnorm = float(np.linalg.norm(resid))
         fnorm = float(np.linalg.norm(fext.reshape(-1)[free]))
-        if rnorm <= max(REL_TOL * fnorm, ABS_TOL):
+        if rnorm <= max(REL_TOL * fnorm, ABS_TOL) and \
+                correction <= _CORRECTION_TOL:
             history.append(rnorm)
-            return u, it, history
+            return u, it, history, correction
         if first is None:
             first = max(rnorm, ABS_TOL)
         elif rnorm > DIVERGENCE_FACTOR * first:
             raise StepRejected(f"Newton diverged, residual {rnorm:.3e}")
-        stalled = bool(history) and rnorm > 0.3 * history[-1]
+        fresh = lu is None or rnorm > 0.3 * history[-1]
         history.append(rnorm)
-        if lu is None or stalled:
-            try:
-                data = tangent_stiffness(mesh, params, u, model=model).data
-                if pressure_kpa > 0.0:
-                    data = data - pressure_stiffness(
-                        mesh, pressure_kpa, u, face_set, model=model).data
-            except mat.InvalidDeformation as exc:
-                raise StepRejected(str(exc)) from None
-            kff = sparse.csc_matrix((data[take], indices, indptr),
-                                    shape=(n_free, n_free))
-            stats["factorizations"] += 1
-            try:
-                lu, fast = splu(kff, **_FAST_LU), True
-                knorm = float(abs(kff).sum(axis=0).max())  # ||K_ff||_1
-            except RuntimeError as exc:
-                lu, fast = _fallback_factor(
-                    kff, stats, f"fast factorization failed: {exc}"), False
-        du = lu.solve(-resid)
-        if fast:
-            err = float(np.linalg.norm(kff @ du + resid))
-            bound = _BACKWARD_TOL * (knorm * float(np.linalg.norm(du)) + rnorm)
-            if not err <= bound:                       # NaN fails too
-                lu, fast = _fallback_factor(
-                    kff, stats, f"back-solve residual {err:.3e} exceeds "
-                    f"the backward-error bound {bound:.3e}"), False
-                du = lu.solve(-resid)
+        limit = _CHORD_CONTRACTION * dnorm
+        while True:
+            if fresh:
+                kff = lu = None            # free the old factor first
+                try:
+                    data = tangent_stiffness(mesh, params, u, model=model).data
+                    if pressure_kpa > 0.0:
+                        data = data - pressure_stiffness(
+                            mesh, pressure_kpa, u, face_set, model=model).data
+                except mat.InvalidDeformation as exc:
+                    raise StepRejected(str(exc)) from None
+                kff = sparse.csc_matrix((data[take], indices, indptr),
+                                        shape=(n_free, n_free))
+                stats["factorizations"] += 1
+                try:
+                    lu = splu(kff, **_FAST_LU)
+                    knorm = float(abs(kff).sum(axis=0).max())  # ||K_ff||_1
+                except RuntimeError as exc:
+                    lu, knorm = _fallback_factor(
+                        kff, stats, f"fast factorization failed: {exc}"), None
+            du = lu.solve(-resid)
+            dnorm = float(np.linalg.norm(du))
+            if knorm is not None:
+                err = float(np.linalg.norm(kff @ du + resid))
+                bound = _BACKWARD_TOL * (knorm * dnorm + rnorm)
+                if not err <= bound:                   # NaN fails too
+                    lu = None
+                    lu, knorm = _fallback_factor(
+                        kff, stats, f"back-solve residual {err:.3e} exceeds "
+                        f"the backward-error bound {bound:.3e}"), None
+                    du = lu.solve(-resid)
+                    dnorm = float(np.linalg.norm(du))
+            if fresh or dnorm <= limit:
+                break
+            fresh = True
         u = u.reshape(-1)
         u[free] += du
+        correction = dnorm / max(float(np.linalg.norm(u)), 1e-300)
         u = u.reshape(-1, 3)
     raise StepRejected(f"no convergence in {MAX_NEWTON_ITERS} Newton iterations")
+
+
+def _extrapolate(states, t):
+    """The Lagrange polynomial through the accepted ``states`` (t_i, u_i)
+    at ``t``: the one state itself, the secant or the parabola."""
+    return sum(math.prod((t - tj) / (ti - tj) for tj, _ in states if tj != ti)
+               * ui for ti, ui in states)
 
 
 def solve(mesh, params, case, prescribed=None):
@@ -468,18 +508,21 @@ def solve(mesh, params, case, prescribed=None):
 
     ``prescribed`` optionally carries (mask, values) for inhomogeneous
     supports: boolean (N, 3) and target displacements, ramped with the
-    load.  Each trial step makes one Newton attempt from the secant
-    predictor (from the last state on the first step); a rejected
-    attempt halves the step.  Returns a Solution whose first increment
-    is the reference state and which has a row at every station of
-    ``case``.  Raises SolveError when the supports leave a rigid-body
-    mode or an element-free node unconstrained, or when an increment
-    cannot be converged even after ``MAX_BISECTIONS`` halvings.  Accepted
-    increments, bisections and factorization fallbacks are logged at
-    INFO on ``pneusoft.fea``.  Each ``Solution.log`` record holds the
-    pressure, the Newton iterations and residuals of the accepted
-    increment, and the factorizations and fallbacks spent on it,
-    rejected attempts included.
+    load.  Each trial step makes one Newton attempt, started from the
+    quadratic extrapolation of the last three accepted states (the
+    secant while only two exist, the reference state counting as one);
+    a rejected attempt halves the step.  Returns a Solution whose first
+    increment is the reference state and which has a row at every
+    station of ``case``.  Raises SolveError when the supports leave a
+    rigid-body mode or an element-free node unconstrained, or when an
+    increment cannot be converged even after ``MAX_BISECTIONS`` halvings.
+    Accepted increments, bisections and factorization fallbacks are
+    logged at INFO on ``pneusoft.fea``.  Each ``Solution.log`` record
+    holds the pressure, the Newton iterations and residuals of the
+    accepted increment, its ``correction`` ||du|| / ||u|| (the size of
+    its last Newton step, 0.0 for the reference state), and the
+    factorizations and fallbacks spent on it, rejected attempts
+    included.
     """
     model = Model(mesh)
     mask = _fixed_mask(mesh, case)
@@ -496,7 +539,7 @@ def solve(mesh, params, case, prescribed=None):
     stats = {"factorizations": 0, "fallbacks": 0}
     sol = Solution(pressures_kpa=np.zeros(1), displacements=[u.copy()])
     sol.log.append({"pressure_kpa": 0.0, "iterations": 0, "residuals": [],
-                    **stats})
+                    "correction": 0.0, **stats})
     if case.target_pressure_kpa == 0.0 and prescribed is None:
         return sol
 
@@ -504,7 +547,9 @@ def solve(mesh, params, case, prescribed=None):
     dt0 = 1.0 / case.increments
     floor = dt0 / 2 ** MAX_BISECTIONS
     t, dt = 0.0, dt0
-    u_prev, dt_prev = None, None
+    # the last three accepted (t, u): a quadratic predictor starts Newton
+    # far closer to the answer than the secant on a smooth ramp
+    states = deque([(t, u)], maxlen=3)
     pressures = [0.0]
     for k in range(1, case.increments + 1):
         station = k / case.increments
@@ -512,11 +557,9 @@ def solve(mesh, params, case, prescribed=None):
             # land on the station exactly rather than a rounding short of it
             trial = station if t + dt >= station - 1e-12 else t + dt
             dt = trial - t
-            # Secant predictor: extrapolating the previous increment usually
-            # starts Newton inside its contraction basin.
-            guess = u if u_prev is None else u + (u - u_prev) * (dt / dt_prev)
+            guess = _extrapolate(states, trial)
             try:
-                un, iters, hist = _newton(
+                un, iters, hist, correction = _newton(
                     params, model, case.pressure_set, trial * target,
                     np.where(mask, trial * values, guess), free, block, stats)
             except StepRejected as exc:
@@ -528,15 +571,16 @@ def solve(mesh, params, case, prescribed=None):
                 log.info("bisect at %.4g kPa: %s; retry with dt=%.4g",
                          trial * target, exc, dt)
                 continue
-            u_prev, dt_prev = u, dt
             t, u = trial, un
+            states.append((t, u))
             pressures.append(t * target)
             sol.displacements.append(u.copy())
             sol.log.append({"pressure_kpa": t * target, "iterations": iters,
-                            "residuals": hist, **stats})
+                            "residuals": hist, "correction": correction,
+                            **stats})
             stats = dict.fromkeys(stats, 0)
-            log.info("p=%9.3f kPa  iters=%d  resid=%.3e", t * target, iters,
-                     hist[-1])
+            log.info("p=%9.3f kPa  iters=%d  resid=%.3e  correction=%.1e",
+                     t * target, iters, hist[-1], correction)
             dt *= 2.0
     sol.pressures_kpa = np.asarray(pressures)
     return sol

@@ -117,7 +117,7 @@ def earthworm_frequency_sweep(params, frequencies_hz):
 # sampled from the bundled solver model (see fixtures/calibration.cfg);
 # linear interpolation in between.
 QUADRUPED_BEND_TABLE_KPA = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
-QUADRUPED_BEND_TABLE_DEG = (0.0, 2.703, 5.332, 7.893, 10.399, 12.847, 15.258)
+QUADRUPED_BEND_TABLE_DEG = (0.0, 2.703, 5.332, 7.894, 10.397, 12.849, 15.257)
 
 # two antisymmetric diagonal pairs, each powered for half the cycle
 QUADRUPED_GAIT = (("front_left", "back_right"), ("front_right", "back_left"))

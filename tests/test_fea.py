@@ -325,6 +325,13 @@ def test_fast_factor_solve_matches_partial_pivoting(pocket_coarse, monkeypatch):
     assert lu.nnz < splu(kff, **relaxed).nnz
 
 
+def test_accepted_states_bound_their_correction(pocket_ramp):
+    assert pocket_ramp.log[0]["correction"] == 0.0
+    for rec in pocket_ramp.log[1:]:
+        assert rec["iterations"] >= 1
+        assert 0.0 < rec["correction"] <= 1e-8
+
+
 @pytest.mark.parametrize("error", [1e-3, np.nan])
 def test_inaccurate_fast_solve_falls_back(pocket_coarse, pocket_ramp,
                                           monkeypatch, caplog, error):

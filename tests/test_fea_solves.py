@@ -47,3 +47,21 @@ def test_linear_actuator_extends_under_pressure():
     # the bellows wall also moves laterally, not just axially
     lateral = np.linalg.norm(sol.final_u()[:, :2], axis=1)
     assert lateral.max() > 0.05
+
+
+def test_bending_angles_match_a_tight_solve(monkeypatch):
+    # the softest tangent mode is the bending itself, so a residual test
+    # alone leaves about 5e-6 deg of solver error in these angles; the
+    # reference also tightens the correction test, or both solves would
+    # stop on the same one
+    mesh = coarse_mesh("bending1", 10.0, symmetric_half=True, chambers=1,
+                       length=24.0)
+    case = fea.LoadCase(target_pressure_kpa=60.0, increments=10,
+                        extra_fixed=(("symx", "x"),))
+    params = material.HyperelasticParams(c10=0.24)
+    angle = fea.measure_bend_angle(mesh, fea.solve(mesh, params, case))
+    monkeypatch.setattr(fea, "REL_TOL", 1e-10)
+    monkeypatch.setattr(fea, "_CORRECTION_TOL", 1e-12)
+    ref = fea.measure_bend_angle(mesh, fea.solve(mesh, params, case))
+    assert len(angle) == len(ref) == case.increments + 1
+    assert np.max(np.abs(angle - ref)) < 1e-6
