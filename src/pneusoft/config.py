@@ -9,6 +9,7 @@ loudly instead of silently configuring nothing.
 """
 
 import dataclasses
+import math
 import os
 
 from . import fea, material, pneumatics, robots
@@ -43,8 +44,15 @@ def defaults():
     return cfg
 
 
+def _finite(value):
+    if not math.isfinite(value):
+        raise ValueError(f"{value} is not finite")
+    return value
+
+
 def parse_value(key, text, reference):
-    """Coerce ``text`` to the type of ``reference[key]``."""
+    """Coerce ``text`` to the type of ``reference[key]``; float values and
+    tuple entries must be finite."""
     if key not in reference:
         known = ", ".join(sorted(reference))
         raise KeyError(f"unknown config key {key!r}; known keys: {known}")
@@ -54,9 +62,9 @@ def parse_value(key, text, reference):
         if isinstance(ref, int):
             return int(text)
         if isinstance(ref, float):
-            return float(text)
+            return _finite(float(text))
         if isinstance(ref, tuple):
-            return tuple(float(tok) for tok in text.split(","))
+            return tuple(_finite(float(tok)) for tok in text.split(","))
     except ValueError as exc:
         raise ValueError(f"config key {key!r}: {exc}") from None
     return text

@@ -5,13 +5,16 @@ mid-edge nodes.  For the tetrahedron the mid-edge nodes sit on edges
 (0,1), (1,2), (0,2), (0,3), (1,3), (2,3); for the triangle on edges
 (0,1), (1,2), (2,0).  Mid-edge nodes are placed at geometric midpoints,
 so element edges are straight and the reference-to-physical map of a
-well-shaped element has constant Jacobian.
+well-shaped element has constant Jacobian.  ``tet10_jacobian`` and
+``tri6_tangents`` evaluate that map at the quadrature points for the
+solver and the mesh checks alike.
 """
 
 import numpy as np
 
-# edge -> local mid-node index, tetrahedron
+# corner pairs of the mid-nodes, in local node order after the corners
 TET10_EDGES = ((0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (2, 3))
+TRI6_EDGES = ((0, 1), (1, 2), (2, 0))
 
 def tet10_shape(points):
     """Shape functions at natural coordinates ``points`` (n, 3) -> (n, 10)."""
@@ -45,8 +48,7 @@ def tet10_shape_grad(points):
     lam = (l1, l2, l3, l4)
     for i in range(4):
         g[:, i, :] = (4.0 * lam[i] - 1.0)[:, None] * dl[i]
-    pairs = ((0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (2, 3))
-    for k, (a, b) in enumerate(pairs):
+    for k, (a, b) in enumerate(TET10_EDGES):
         g[:, 4 + k, :] = 4.0 * (lam[b][:, None] * dl[a] + lam[a][:, None] * dl[b])
     return g
 
@@ -78,8 +80,7 @@ def tri6_shape_grad(points):
     lam = (l1, l2, l3)
     for i in range(3):
         g[:, i, :] = (4.0 * lam[i] - 1.0)[:, None] * dl[i]
-    pairs = ((0, 1), (1, 2), (2, 0))
-    for k, (a, b) in enumerate(pairs):
+    for k, (a, b) in enumerate(TRI6_EDGES):
         g[:, 3 + k, :] = 4.0 * (lam[b][:, None] * dl[a] + lam[a][:, None] * dl[b])
     return g
 
@@ -111,3 +112,22 @@ def tri_quadrature():
     ])
     w = np.array([w1, w1, w1, w2, w2, w2]) * 0.5
     return pts, w
+
+
+_TET_DN = tet10_shape_grad(tet_quadrature()[0])            # (q, 10, 3)
+_TRI_DN = tri6_shape_grad(tri_quadrature()[0])             # (q, 6, 2)
+
+
+def tet10_jacobian(xe):
+    """Jacobians J_md = dX_m / dxi_d of tet10 elements with node
+    coordinates ``xe`` (M, 10, 3) at the ``tet_quadrature`` points,
+    (M, q, 3, 3)."""
+    return np.einsum("eam,qad->eqmd", xe, _TET_DN)
+
+
+def tri6_tangents(xf):
+    """Tangents dX/d(xi, eta) (K, q, 3, 2) of TRI6 faces with node
+    coordinates ``xf`` (K, 6, 3) at the ``tri_quadrature`` points, and
+    their cross products, the area vectors (K, q, 3)."""
+    t = np.einsum("fam,qad->fqmd", xf, _TRI_DN)
+    return t, np.cross(t[..., 0], t[..., 1])

@@ -47,7 +47,8 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from . import material as mat
-from .elements import tet10_shape_grad, tet_quadrature, tri6_shape, tri6_shape_grad, tri_quadrature
+from .elements import (tet10_jacobian, tet10_shape_grad, tet_quadrature, tri6_shape,
+                       tri6_shape_grad, tri6_tangents, tri_quadrature)
 
 log = logging.getLogger("pneusoft.fea")
 
@@ -161,8 +162,7 @@ class Model:
         self.mesh = mesh
         qp, w = tet_quadrature()
         dn_ref = tet10_shape_grad(qp)                      # (q, 10, 3)
-        xe = mesh.nodes[mesh.tets]                         # (M, 10, 3)
-        jac = np.einsum("eam,qad->eqmd", xe, dn_ref)       # J_md = dX_m/dxi_d
+        jac = tet10_jacobian(mesh.nodes[mesh.tets])        # (M, q, 3, 3)
         det = np.linalg.det(jac)
         if np.any(det <= 0.0):
             bad = int(np.argwhere(np.any(det <= 0.0, axis=1))[0, 0])
@@ -195,7 +195,7 @@ class Model:
         """(TRI6 connectivity, reference area density) of face set ``name``."""
         if name not in self._faces:
             faces = self.mesh.face_set(name)
-            _, nvec = _face_geometry(self.mesh.nodes, faces)
+            _, nvec = tri6_tangents(self.mesh.nodes[faces])
             self._faces[name] = faces, np.linalg.norm(nvec, axis=2)
         return self._faces[name]
 
@@ -299,16 +299,10 @@ def tangent_stiffness(mesh, params, u, *, model=None):
     return model._matrix(model.tet_pos, ke)
 
 
-def _face_geometry(x, faces):
-    """Tangents (K, q, 3, 2) and area vectors (K, q, 3) of ``faces`` at ``x``."""
-    t = np.einsum("fam,qad->fqmd", x[faces], _TRI_DN)
-    return t, np.cross(t[..., 0], t[..., 1])
-
-
 def _deformed_tangents(model, face_set, u):
     """(faces, tangents, area vectors) of the deformed face set."""
     faces, ref_norm = model.faces(face_set)
-    t, nvec = _face_geometry(model.mesh.nodes + u, faces)
+    t, nvec = tri6_tangents((model.mesh.nodes + u)[faces])
     if np.any(np.linalg.norm(nvec, axis=2) < 1e-9 * ref_norm):
         raise StepRejected("pressure face degenerated to zero area")
     return faces, t, nvec

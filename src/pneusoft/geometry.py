@@ -1,9 +1,14 @@
 """Parametric actuator solids and their structured tet meshes.
 
 Every mesh comes from a structured grid of cells fitted to the solid:
-grid lines sit on every material boundary, each solid cell splits into
-six tets that share face diagonals with their neighbors, and mid-edge
-nodes are inserted at straight-edge midpoints.  The same machinery
+grid lines sit on every material boundary, and each solid cell splits
+into six tets that share face diagonals with their neighbors.  A tet
+edge runs from a grid point p to p + d with d in {0,1}^3, so every
+tet10 node is a point of the half-spaced grid: 2p for a corner, 2p + d
+for a straight-edge midpoint, whose ends are h // 2 and (h + 1) // 2
+(theta wraps on the tube).  Tets, boundary TRI6 faces and node sets
+are index arithmetic on that grid; corners are numbered in grid order,
+then mid-nodes by the (min, max) ids of their ends.  The same machinery
 drives three actuator archetypes and three test fixtures:
 
     linear    square bellows tube, elongates under pressure
@@ -27,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Mesh, promote_to_tet10
+from .elements import TET10_EDGES, TRI6_EDGES
+from .mesh import Mesh
 
 KINDS = ("linear", "bending1", "bending2", "cube", "pocket", "tube")
 # generate_mesh refuses specs estimated above this many nodes, which
@@ -56,6 +62,21 @@ _FACE_TRIS = {
     (2, 0): (((0, 0, 0), (1, 1, 0), (1, 0, 0)), ((0, 0, 0), (0, 1, 0), (1, 1, 0))),
     (2, 1): (((0, 0, 1), (1, 0, 1), (1, 1, 1)), ((0, 0, 1), (1, 1, 1), (0, 1, 1))),
 }
+
+
+def _half_offsets(corners, edges):
+    """Half-grid offsets of the corners, then of the mid-nodes on ``edges``."""
+    c = np.asarray(corners)
+    mids = [c[..., [a], :] + c[..., [b], :] for a, b in edges]
+    return np.concatenate([2 * c] + mids, axis=-2)
+
+
+# (6 * 10, 3) offsets of the tet10 nodes of a cell, (12, 6, 3) of the TRI6
+# nodes of its boundary triangles and (6, 3) of its neighbors, face-key order
+_TET_HALF = _half_offsets(_KUHN_TETS, TET10_EDGES).reshape(-1, 3)
+_FACE_HALF = _half_offsets(list(_FACE_TRIS.values()), TRI6_EDGES).reshape(-1, 6, 3)
+_FACE_KEYS = np.array(list(_FACE_TRIS))
+_FACE_STEPS = np.eye(3, dtype=np.int64)[_FACE_KEYS[:, 0]] * (2 * _FACE_KEYS[:, 1:] - 1)
 
 SOLID, CAVITY, OUTSIDE = 1, 2, 0
 
@@ -159,83 +180,65 @@ def _axis_lines(breaks, h):
 
 
 def _structured_tets(points, cells, periodic_theta=False):
-    """Tets, face records and bookkeeping for a classified cell grid.
+    """Tet10 mesh of the solid cells of a classified grid, numbered on
+    the half-spaced grid.
 
     ``points`` is (n0, n1, n2, 3); ``cells`` the (n0-1, n1-1|n1, n2-1)
     classification.  With ``periodic_theta`` axis 1 wraps: cells use all
     n1 point columns and column n1 connects back to column 0.
 
-    Returns (mesh_nodes, tets10, edge_mid, grid_to_node, face_records)
-    where face_records are (axis, side, neighbor_class, tri6) tuples and
-    ``grid_to_node`` maps flat grid-point ids to mesh node ids (-1 where
-    unused).
+    Returns (nodes, tets10, half, faces, tags).  ``half`` holds the
+    node id of each point of the half-spaced grid (-1 where unused);
+    ``faces`` are the TRI6 boundary faces of the solid, in cell,
+    face-key and triangle order, and ``tags`` their (axis, side,
+    neighbor class) rows.
     """
     n0, n1, n2 = points.shape[:3]
-
-    def pid(i, j, k):
-        return (i * n1 + (j % n1 if periodic_theta else j)) * n2 + k
-
+    shape = (2 * n0 - 1, 2 * n1 if periodic_theta else 2 * n1 - 1, 2 * n2 - 1)
     solid = np.argwhere(cells == SOLID)
     if solid.size == 0:
         raise ValueError("solid region is empty; check the spec dimensions")
 
-    corner = np.empty((len(solid), 6, 4), dtype=np.int64)
-    for t, tet in enumerate(_KUHN_TETS):
-        for v, (dx, dy, dz) in enumerate(tet):
-            corner[:, t, v] = pid(solid[:, 0] + dx, solid[:, 1] + dy,
-                                  solid[:, 2] + dz)
-    corner = corner.reshape(-1, 4)
+    def at(cell, offsets):
+        """Index of the half-grid points 2 * cell + offsets."""
+        h = 2 * cell[:, None, :] + offsets
+        h[..., 1] %= shape[1]                      # a no-op unless periodic
+        return tuple(np.moveaxis(h, -1, 0))
 
-    used = np.unique(corner)
-    grid_to_node = np.full(n0 * n1 * n2, -1, dtype=np.int64)
-    grid_to_node[used] = np.arange(len(used))
-    nodes = points.reshape(-1, 3)[used]
-    tets4 = grid_to_node[corner]
-    nodes, tets10, edge_mid = promote_to_tet10(nodes, tets4)
+    tet_at = at(solid, _TET_HALF)                          # (S, 6 * 10)
+    half = np.full(shape, -1, dtype=np.int64)
+    half[tet_at] = 0
+    # each used point h, in grid order, is the midpoint of grid points
+    # h // 2 and (h + 1) // 2, a corner where they coincide
+    h = np.argwhere(half == 0)
+    lo, hi = h // 2, (h + 1) // 2
+    hi[:, 1] %= n1
+    corner = np.all(lo == hi, axis=1)
+    n_corner = int(corner.sum())
+    half[tuple(h[corner].T)] = np.arange(n_corner)
+    # mid-nodes follow, by the (min, max) node ids of their ends
+    a, b = half[tuple(2 * lo[~corner].T)], half[tuple(2 * hi[~corner].T)]
+    a, b = np.minimum(a, b), np.maximum(a, b)
+    order = np.lexsort((b, a))
+    half[tuple(h[~corner][order].T)] = np.arange(n_corner, len(h))
+    nodes = points[tuple(lo[corner].T)]
+    nodes = np.vstack([nodes, 0.5 * (nodes[a[order]] + nodes[b[order]])])
+    tets = half[tet_at].reshape(-1, 10)
 
-    def neighbor_class(ci, cj, ck, axis, side):
-        step = 1 if side == 1 else -1
-        ni, nj, nk = ci, cj, ck
-        if axis == 0:
-            ni += step
-        elif axis == 1:
-            nj += step
-        else:
-            nk += step
-        if axis == 1 and periodic_theta:
-            nj %= cells.shape[1]
-        if not (0 <= ni < cells.shape[0] and 0 <= nj < cells.shape[1]
-                and 0 <= nk < cells.shape[2]):
-            return OUTSIDE
-        return int(cells[ni, nj, nk])
-
-    def face_tri6(tri_offsets, ci, cj, ck):
-        ids = [int(grid_to_node[pid(ci + dx, cj + dy, ck + dz)])
-               for dx, dy, dz in tri_offsets]
-        a, b, c = ids
-        return (a, b, c,
-                edge_mid[(min(a, b), max(a, b))],
-                edge_mid[(min(b, c), max(b, c))],
-                edge_mid[(min(c, a), max(c, a))])
-
-    face_records = []
-    for ci, cj, ck in solid:
-        for (axis, side), tris in _FACE_TRIS.items():
-            ncls = neighbor_class(ci, cj, ck, axis, side)
-            if ncls == SOLID:
-                continue
-            for tri in tris:
-                face_records.append((axis, side, ncls,
-                                     face_tri6(tri, int(ci), int(cj), int(ck))))
-    return nodes, tets10, edge_mid, grid_to_node, face_records
+    # class of the neighbor across each cell face, OUTSIDE beyond the grid
+    padded = np.pad(cells, 1, constant_values=OUTSIDE)
+    if periodic_theta:
+        padded[:, 0], padded[:, -1] = padded[:, -2], padded[:, 1]
+    neighbor = padded[tuple(np.moveaxis(solid[:, None] + 1 + _FACE_STEPS, -1, 0))]
+    cell, tri = np.nonzero(np.repeat(neighbor != SOLID, 2, axis=1))
+    faces = half[at(solid[cell], _FACE_HALF[tri])]
+    tags = np.column_stack([_FACE_KEYS[tri // 2], neighbor[cell, tri // 2]])
+    return nodes, tets, half, faces, tags
 
 
-def _corner_set(grid_ids, grid_to_node, edge_mid):
-    """Mesh node set from grid point ids: corners plus spanned mid-nodes."""
-    corners = grid_to_node[grid_ids]
-    corners = set(int(c) for c in corners if c >= 0)
-    mids = [m for (a, b), m in edge_mid.items() if a in corners and b in corners]
-    return np.array(sorted(corners | set(mids)), dtype=np.int64)
+def _node_set(half_ids):
+    """Sorted node ids of a slice of the half-grid node map."""
+    return np.sort(half_ids[half_ids >= 0])
 
 
 def _check_element_size(spec):
@@ -333,20 +336,14 @@ def _box_mesh(spec):
     pts[..., 1] = ys[None, :, None]
     pts[..., 2] = zs[None, None, :]
 
-    nodes, tets, edge_mid, g2n, recs = _structured_tets(pts, cells)
+    nodes, tets, half, faces, tags = _structured_tets(pts, cells)
 
-    cavity = [tri for axis, side, ncls, tri in recs if ncls == CAVITY]
-    n1, n2 = len(ys), len(zs)
-    flat = np.arange(len(xs) * n1 * n2).reshape(len(xs), n1, n2)
-    node_sets = {
-        "fixed": _corner_set(flat[:, :, 0].ravel(), g2n, edge_mid),
-        "tip": _corner_set(flat[:, :, -1].ravel(), g2n, edge_mid),
-    }
+    cavity = faces[tags[:, 2] == CAVITY]
+    node_sets = {"fixed": _node_set(half[:, :, 0]),
+                 "tip": _node_set(half[:, :, -1])}
     if spec.symmetric_half:
-        node_sets["symx"] = _corner_set(flat[0].ravel(), g2n, edge_mid)
-    face_sets = {}
-    if cavity:
-        face_sets["cavity"] = np.asarray(cavity, dtype=np.int64)
+        node_sets["symx"] = _node_set(half[0])
+    face_sets = {"cavity": cavity} if len(cavity) else {}
     return Mesh(nodes=nodes, tets=tets, node_sets=node_sets, face_sets=face_sets)
 
 
@@ -367,22 +364,20 @@ def _tube_mesh(spec):
     pts[..., 2] = zs[None, None, :]
 
     cells = np.full((len(rs) - 1, n_theta, len(zs) - 1), SOLID, dtype=np.int8)
-    nodes, tets, edge_mid, g2n, recs = _structured_tets(
+    nodes, tets, half, faces, tags = _structured_tets(
         pts, cells, periodic_theta=True)
 
-    cavity = [tri for axis, side, ncls, tri in recs
-              if ncls == OUTSIDE and axis == 0 and side == 0]
-    flat = np.arange(len(rs) * n_theta * len(zs)).reshape(
-        len(rs), n_theta, len(zs))
-    q = n_theta // 4
+    # the bore: faces on the inner radius (axis 0, side 0)
+    cavity = faces[np.all(tags == (0, 0, OUTSIDE), axis=1)]
+    q = n_theta // 2                       # a quarter turn on the half grid
     node_sets = {
-        "end0": _corner_set(flat[:, :, 0].ravel(), g2n, edge_mid),
-        "end1": _corner_set(flat[:, :, -1].ravel(), g2n, edge_mid),
-        "inner": _corner_set(flat[0].ravel(), g2n, edge_mid),
-        "xaxis": _corner_set(flat[:, [0, 2 * q], :].ravel(), g2n, edge_mid),
-        "yaxis": _corner_set(flat[:, [q, 3 * q], :].ravel(), g2n, edge_mid),
+        "end0": _node_set(half[:, :, 0]),
+        "end1": _node_set(half[:, :, -1]),
+        "inner": _node_set(half[0]),
+        "xaxis": _node_set(half[:, [0, 2 * q], :]),
+        "yaxis": _node_set(half[:, [q, 3 * q], :]),
     }
-    face_sets = {"cavity": np.asarray(cavity, dtype=np.int64)}
+    face_sets = {"cavity": cavity}
     return Mesh(nodes=nodes, tets=tets, node_sets=node_sets, face_sets=face_sets)
 
 

@@ -1,4 +1,4 @@
-"""Mesh container, quadratic-tet promotion, quality metrics and ASCII I/O.
+"""Mesh container, quality metrics and ASCII I/O.
 
 The on-disk format is a line-oriented ASCII file:
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elements import TET10_EDGES, tet10_shape_grad, tet_quadrature, tri6_shape_grad, tri_quadrature
+from .elements import tet10_jacobian, tri6_tangents, tri_quadrature
 
 FORMAT_HEADER = "pneusoft-mesh v1"
 POOR_JACOBIAN_RATIO = 0.05
@@ -65,36 +65,9 @@ class Mesh:
         return self.face_sets[name]
 
 
-def promote_to_tet10(nodes, corner_tets):
-    """Insert mid-edge nodes at straight-edge midpoints.
-
-    Returns (nodes, tets10, edge_mid) where ``edge_mid`` maps the sorted
-    corner pair of every created edge to its mid-node id.
-    """
-    corner_tets = np.asarray(corner_tets, dtype=np.int64)
-    if corner_tets.size == 0:
-        return np.asarray(nodes, dtype=float).reshape(-1, 3), \
-            np.empty((0, 10), dtype=np.int64), {}
-    edges = corner_tets[:, TET10_EDGES]            # (M, 6, 2)
-    edges = np.sort(edges.reshape(-1, 2), axis=1)
-    uniq, inverse = np.unique(edges, axis=0, return_inverse=True)
-    n0 = nodes.shape[0]
-    mid_coords = 0.5 * (nodes[uniq[:, 0]] + nodes[uniq[:, 1]])
-    all_nodes = np.vstack([nodes, mid_coords])
-    tets10 = np.empty((corner_tets.shape[0], 10), dtype=np.int64)
-    tets10[:, :4] = corner_tets
-    tets10[:, 4:] = n0 + inverse.reshape(-1, 6)
-    edge_mid = {(int(a), int(b)): n0 + i for i, (a, b) in enumerate(uniq)}
-    return all_nodes, tets10, edge_mid
-
-
 def element_jacobians(mesh):
     """det of the reference-to-physical map at each quadrature point, (M, 4)."""
-    qp, _ = tet_quadrature()
-    dn = tet10_shape_grad(qp)                      # (4, 10, 3)
-    xe = mesh.nodes[mesh.tets]                     # (M, 10, 3)
-    jac = np.einsum("eai,qaj->eqji", xe, dn)       # dX/dxi
-    return np.linalg.det(jac)
+    return np.linalg.det(tet10_jacobian(mesh.nodes[mesh.tets]))
 
 
 @dataclass(frozen=True)
@@ -140,12 +113,8 @@ def face_normal_sum(mesh, name):
     Uses the same quadrature as the pressure load, so a closed cavity
     returns a sum that vanishes to round-off.
     """
-    faces = mesh.face_set(name)
-    qp, w = tri_quadrature()
-    dn = tri6_shape_grad(qp)                       # (q, 6, 2)
-    xf = mesh.nodes[faces]                         # (K, 6, 3)
-    tang = np.einsum("fam,qad->fqmd", xf, dn)      # (K, q, xyz, 2)
-    nvec = np.cross(tang[..., 0], tang[..., 1])    # (K, q, 3)
+    _, w = tri_quadrature()
+    _, nvec = tri6_tangents(mesh.nodes[mesh.face_set(name)])   # (K, q, 3)
     total = np.einsum("fqi,q->i", nvec, w)
     area = float(np.einsum("fq,q->", np.linalg.norm(nvec, axis=2), w))
     return total, area

@@ -234,6 +234,9 @@ def test_robot_earthworm_sweep(tmp_path, capsys):
     # non-finite mesh dimensions
     ["mesh", "--kind", "cube", "--element-size", "inf"],
     ["mesh", "--kind", "linear", "--length", "nan"],
+    # non-finite config values
+    ["robot", "quadruped", "--set", "quadruped.bend_table_deg=0,nan,5,7,10,12,15"],
+    ["robot", "bath", "--duration", "10", "--set", "bath.setpoint_c=nan"],
 ])
 def test_bad_loop_lengths_exit_2(capsys, argv):
     assert cli.main(argv) == 2

@@ -71,6 +71,11 @@ def test_value_coercion_by_reference_type():
     assert table == (0.0, 10.0, 20.0)
     with pytest.raises(ValueError):
         cfgmod.parse_value("solver.increments", "sixty", cfg)
+    # non-finite floats and tuple entries name their key
+    for key, text in (("bath.setpoint_c", "nan"),
+                      ("quadruped.bend_table_deg", "0, 2, -inf")):
+        with pytest.raises(ValueError, match=f"{key}.*not finite"):
+            cfgmod.parse_value(key, text, cfg)
 
 
 def test_file_errors_carry_path_and_line(tmp_path):

@@ -414,11 +414,13 @@ def test_solve_missing_sets_raise(pocket_coarse):
 
 
 def test_solve_rejects_inverted_mesh():
-    nodes = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
-                      [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    corners = np.array([[0, 2, 1, 3]])  # negative orientation
-    all_nodes, tets10, _ = meshmod.promote_to_tet10(nodes, corners)
-    m = meshmod.Mesh(nodes=all_nodes, tets=tets10,
+    # corners in negative orientation, then the midpoints of edges
+    # (0,1), (1,2), (0,2), (0,3), (1,3), (2,3)
+    nodes = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0],
+                      [0.0, 0.0, 1.0], [0.0, 0.5, 0.0], [0.5, 0.5, 0.0],
+                      [0.5, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.5, 0.5],
+                      [0.5, 0.0, 0.5]])
+    m = meshmod.Mesh(nodes=nodes, tets=np.arange(10).reshape(1, 10),
                      node_sets={"fixed": np.array([0])}, face_sets={})
     with pytest.raises(ValueError, match="inverted"):
         fea.solve(m, PARAMS, fea.LoadCase(target_pressure_kpa=0.0))

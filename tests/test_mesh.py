@@ -1,4 +1,4 @@
-"""Mesh container, TET10 promotion, quality metrics and mesh file IO."""
+"""Mesh container, tet10 numbering, quality metrics and mesh file IO."""
 
 import numpy as np
 import pytest
@@ -43,27 +43,25 @@ def test_mesh_set_accessors():
         m.face_set("cavity")
 
 
-def test_promote_to_tet10_shares_edge_midpoints():
-    nodes = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
-                      [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
-    corner_tets = np.array([[0, 1, 2, 3], [1, 2, 3, 4]])
-    all_nodes, tets10, edge_mid = meshmod.promote_to_tet10(nodes, corner_tets)
-    # 6 + 6 edges with 3 shared on the common face -> 9 midpoints
-    assert len(edge_mid) == 9
-    assert all_nodes.shape == (5 + 9, 3)
-    assert tets10.shape == (2, 10)
-    shared = edge_mid[(1, 2)]
-    assert np.allclose(all_nodes[shared], [0.5, 0.5, 0.0])
-    # same midpoint id appears in both elements
-    assert shared in tets10[0] and shared in tets10[1]
-
-
-def test_promote_to_tet10_empty():
-    nodes, tets10, edge_mid = meshmod.promote_to_tet10(
-        np.empty((0, 3)), np.empty((0, 4), dtype=np.int64))
-    assert nodes.shape == (0, 3)
-    assert tets10.shape == (0, 10)
-    assert edge_mid == {}
+@pytest.mark.parametrize("kind, size, half", [
+    ("tube", 2.5, False),          # the theta seam closes the ring
+    ("bending2", 4.0, True),
+    ("linear", 4.0, False),        # with bellows rings
+    ("pocket", 2.5, False),
+])
+def test_tet10_mid_nodes_are_shared_edge_midpoints(kind, size, half):
+    m = coarse_mesh(kind, size, symmetric_half=half)
+    ends = m.tets[:, elements.TET10_EDGES]         # (M, 6, 2)
+    mids = m.tets[:, 4:]
+    assert np.array_equal(m.nodes[mids], 0.5 * (m.nodes[ends[..., 0]]
+                                                 + m.nodes[ends[..., 1]]))
+    # one mid-node id per distinct corner pair, and no id on two pairs
+    pairs, pair = np.unique(np.sort(ends.reshape(-1, 2), axis=1), axis=0,
+                            return_inverse=True)
+    pair_mid = np.unique(np.column_stack([pair.ravel(), mids.ravel()]), axis=0)
+    assert len(pair_mid) == len(pairs) == len(np.unique(mids))
+    assert np.intersect1d(mids, m.tets[:, :4]).size == 0
+    assert len(np.unique(m.nodes, axis=0)) == m.n_nodes
 
 
 def test_quality_of_straight_tet():
