@@ -112,9 +112,7 @@ def _cmd_solve(args):
     except fea.SolveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    fea.write_solution_csv(msh, sol, args.out)
-    bend = fea.measure_bend_angle(msh, sol)[-1]
-    elo = fea.measure_elongation(msh, sol)[-1]
+    _, _, elo, bend, _ = fea.write_solution_csv(msh, sol, args.out)[-1]
     print(f"solved to {sol.pressures_kpa[-1]:g} kPa in "
           f"{len(sol.pressures_kpa) - 1} increments: "
           f"elongation {elo:.3f} mm, bend {bend:.2f} deg")

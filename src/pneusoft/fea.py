@@ -16,13 +16,13 @@ element or meets a singular factor is halved, down to 1/32 of the
 station spacing, and the step doubles again after each success without
 passing the next station.
 
-One ``Model`` per solve owns the discretization, including one
-sparsity pattern: the sorted keys column * 3N + row of the DOF pairs
-that share a tet, which are its CSC entries in order.  The element
-tangents and the cavity face load stiffness are each summed into that
-CSC data with one scatter, and Newton factors the free-DOF block cut
-from the same data by a precomputed index, so no sparse structure is
-rebuilt per iteration.
+One ``Model`` per solve owns the discretization, including the free-DOF
+numbering and one sparsity pattern on it: the sorted keys column * n +
+row of the free DOF pairs that share a tet, its CSC entries in order.
+The element tangents and the cavity face load stiffness are each summed
+into that CSC data with one scatter that drops the constrained DOFs, so
+they are the free-DOF block Newton factors and no sparse structure is
+built or sliced per iteration.
 
 SuperLU factors that block with the minimum-degree ordering of A^T + A,
 symmetric mode, no pivoting and no relaxed supernodes, which suits the
@@ -41,6 +41,7 @@ import logging
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -138,27 +139,25 @@ _TRI_N = tri6_shape(_TRI_QP)                               # (q, 6)
 _TRI_DN = tri6_shape_grad(_TRI_QP)                         # (q, 6, 2)
 
 
-def _dof_keys(conn, n_dof):
-    """Keys column * 3N + row of the DOF pairs of each element on nodes
-    ``conn`` (K, m), laid out (K, (a, i), (b, k))."""
-    dof = (3 * conn[..., None] + _AX3).reshape(len(conn), 3 * conn.shape[1])
-    return dof[:, None, :] * n_dof + dof[:, :, None]
-
-
 class Model:
     """The discretization of one mesh, passed to the layer functions as
     ``model=``; without it they build their own.
 
+    ``free`` (3N,) marks the DOFs the model numbers (all when None):
+    ``number`` gives each its position among them, and -1 to the others.
+    The stiffness matrices are (n_dof, n_dof) on those DOFs.
+
     Construction computes the reference tet data at the quadrature
     points: ``dndx`` = dN_a/dX (M, q, 10, 3), ``detjw`` = w det J (M, q)
-    and ``wdndx`` = w dN_a/dX_K laid out (M, a, (q, K)).  It also builds
-    the CSC structure (``indptr``, ``indices``) of the (3N, 3N)
-    stiffness on the DOF pairs that share a tet, and ``tet_pos``, the
-    position in its data of every entry of the element matrices laid
-    out (M, (a, i), (b, k)).  The face-set data are built on first use.
+    and ``wdndx`` = w dN_a/dX_K laid out (M, a, (q, K)).  The rest is
+    built on first use, so force and energy calls need only those: the
+    CSC structure (``indptr``, ``indices``) on the numbered DOF pairs
+    that share a tet, ``tet_pos``, the position in its data of every
+    entry of the element matrices laid out (M, (a, i), (b, k)), and the
+    face-set data.
     """
 
-    def __init__(self, mesh):
+    def __init__(self, mesh, free=None):
         self.mesh = mesh
         qp, w = tet_quadrature()
         dn_ref = tet10_shape_grad(qp)                      # (q, 10, 3)
@@ -173,19 +172,43 @@ class Model:
         self.detjw = det * w[None, :]
         self.wdndx = (self.dndx * self.detjw[..., None, None]).transpose(
             0, 2, 1, 3).reshape(len(mesh.tets), 10, 3 * len(w))
-        # the sorted distinct keys are the stored entries in CSC order; a
-        # sort and a search hold less memory than np.unique's inverse
-        self.n_dof = n = 3 * mesh.n_nodes
-        keys = _dof_keys(mesh.tets, n).ravel()
-        self._keys = np.sort(keys)
-        self._keys = self._keys[np.diff(self._keys, prepend=-1) != 0]
-        self.tet_pos = np.searchsorted(self._keys, keys)
-        idx = np.int32 if max(self._keys.size, n) < 2 ** 31 else np.int64
-        self.indices = (self._keys % n).astype(idx)
-        self.indptr = np.searchsorted(
-            self._keys, np.arange(n + 1) * n).astype(idx)
+        self.free = np.ones(3 * mesh.n_nodes, bool) if free is None else free
+        self.number = np.where(self.free, np.cumsum(self.free) - 1, -1)
+        self.n_dof = int(np.count_nonzero(self.free))
         self._faces = {}
         self._face_pos = {}
+
+    def _dof_keys(self, conn):
+        """Keys column * n_dof + row of the DOF pairs of the elements on
+        nodes ``conn`` (K, m), laid out (K, (a, i), (b, k)); a pair with a
+        constrained DOF gets n_dof**2, past every stored entry."""
+        n = self.n_dof
+        dof = self.number[3 * conn[..., None] + _AX3].reshape(len(conn), -1)
+        keys = dof[:, None, :] * n + dof[:, :, None]
+        keys[(dof[:, None, :] < 0) | (dof[:, :, None] < 0)] = n * n
+        return keys
+
+    @cached_property
+    def _keys(self):
+        # the sorted distinct keys are the stored entries in CSC order; a
+        # sort and a search hold less memory than np.unique's inverse
+        keys = np.sort(self._dof_keys(self.mesh.tets).ravel())
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        return keys[:np.searchsorted(keys, self.n_dof ** 2)]
+
+    @cached_property
+    def tet_pos(self):
+        return np.searchsorted(self._keys, self._dof_keys(self.mesh.tets).ravel())
+
+    @cached_property
+    def indices(self):
+        idx = np.int32 if max(self._keys.size, self.n_dof) < 2 ** 31 else np.int64
+        return (self._keys % self.n_dof).astype(idx)
+
+    @cached_property
+    def indptr(self):
+        steps = np.arange(self.n_dof + 1) * self.n_dof
+        return np.searchsorted(self._keys, steps).astype(self.indices.dtype)
 
     def def_grad(self, u):
         """Deformation gradients at the quadrature points, (M, q, 3, 3)."""
@@ -201,15 +224,16 @@ class Model:
 
     def face_pos(self, name):
         """Data positions of the load stiffness of face set ``name``,
-        laid out (K, (a, i), (b, k)).
+        laid out (K, (a, i), (b, k)); a pair with a constrained DOF goes
+        to position nnz, which ``_matrix`` drops.
 
-        Raises ValueError for a DOF pair outside the sparsity pattern,
-        whose entries would otherwise be lost.
+        Raises ValueError for a free DOF pair outside the sparsity
+        pattern, whose entries would otherwise be lost.
         """
         if name not in self._face_pos:
-            keys = _dof_keys(self.faces(name)[0], self.n_dof).ravel()
+            keys = self._dof_keys(self.faces(name)[0]).ravel()
             pos = np.searchsorted(self._keys, keys)
-            if not np.all(np.append(self._keys, -1)[pos] == keys):
+            if not np.all(np.append(self._keys, self.n_dof ** 2)[pos] == keys):
                 raise ValueError("element node pairs fall outside the "
                                  "sparsity pattern of the tets; every face "
                                  "must lie on a tet")
@@ -217,20 +241,12 @@ class Model:
         return self._face_pos[name]
 
     def _matrix(self, pos, values):
-        """The (3N, 3N) CSC matrix of ``values`` summed into ``pos``."""
-        data = np.bincount(pos, weights=values.ravel(),
-                           minlength=len(self.indices))
-        return sparse.csc_matrix((data, self.indices, self.indptr),
-                                 shape=(self.n_dof, self.n_dof))
-
-    def _free_block(self, free):
-        """(take, indices, indptr) of the CSC block K[free][:, free],
-        whose data is ``K.data[take]`` for any K on this pattern."""
+        """The (n_dof, n_dof) CSC matrix of ``values`` summed into ``pos``,
+        dropping those at position nnz (on a constrained DOF)."""
         nnz = len(self.indices)
-        ids = sparse.csc_matrix((np.arange(1, nnz + 1), self.indices,
-                                 self.indptr), shape=(self.n_dof, self.n_dof))
-        block = ids.tocsr()[free][:, free].tocsc()
-        return block.data - 1, block.indices, block.indptr
+        data = np.bincount(pos, weights=values.ravel(), minlength=nnz + 1)
+        return sparse.csc_matrix((data[:nnz], self.indices, self.indptr),
+                                 shape=(self.n_dof, self.n_dof))
 
 
 def _node_sum(conn, values, n_nodes):
@@ -259,7 +275,8 @@ def internal_force(mesh, params, u, *, model=None):
 
 
 def tangent_stiffness(mesh, params, u, *, model=None):
-    """Sparse consistent tangent d f_int / d u, (3N, 3N) CSC.
+    """Sparse consistent tangent d f_int / d u on the model's DOFs,
+    (n_dof, n_dof) CSC; (3N, 3N) for ``Model(mesh)``.
 
     With g_a = F^-T dN_a/dX, h_a = F dN_a/dX and the moduli (a, b, c) of
     ``material.lagrangian_tangent``, the element matrices are
@@ -270,9 +287,8 @@ def tangent_stiffness(mesh, params, u, *, model=None):
 
     each term a batched matrix product over all elements with the
     quadrature points as the inner dimension.  They are summed into the
-    model's fixed sparsity pattern with one scatter.  The matrix always
-    has the same structure, so callers can slice its data by precomputed
-    indices.
+    model's fixed sparsity pattern with one scatter, so the matrix always
+    has the same structure.
     """
     model = model or Model(mesh)
     f = model.def_grad(u)
@@ -320,8 +336,8 @@ def pressure_force(mesh, pressure_kpa, u, face_set="cavity", *, model=None):
 
 def pressure_stiffness(mesh, pressure_kpa, u, face_set="cavity", *,
                        model=None):
-    """Sparse d f_pressure / d u on the pattern of ``tangent_stiffness``;
-    the load stiffness is unsymmetric."""
+    """Sparse d f_pressure / d u on the model's DOFs and the pattern of
+    ``tangent_stiffness``; the load stiffness is unsymmetric."""
     model = model or Model(mesh)
     _, t, _ = _deformed_tangents(model, face_set, u)
     p = KPA_TO_MPA * pressure_kpa
@@ -389,7 +405,7 @@ def _fallback_factor(kff, stats, cause):
         raise StepRejected(f"tangent factorization failed: {exc}") from None
 
 
-def _newton(params, model, face_set, pressure_kpa, u0, free, block, stats):
+def _newton(params, model, face_set, pressure_kpa, u0, stats):
     """Solve one pressure level from ``u0``, whose supported DOFs already
     hold their prescribed values; returns (u, iterations, residual
     history, correction).
@@ -400,16 +416,18 @@ def _newton(params, model, face_set, pressure_kpa, u0, free, block, stats):
     ``correction`` is that last ||du|| / ||u||.  The residual alone does
     not bound the answer: the softest tangent mode of a bending finger
     is the bending the angle measures, so a small residual can still
-    leave a large error in it.
+    leave a large error in it.  Nor does the correction, the size of
+    the last step: without the stall rule, bending1 at 5 mm accepted a
+    correction of 7e-9 with its angle 1.3e-6 degrees off a tight solve.
+    The bound comes from the two tests and the stall rule together.
 
-    ``block`` = (take, indices, indptr) slices the free-DOF tangent out
-    of the model's stiffness data (see ``Model._free_block``).  The
-    factorized tangent is reused across iterations (chord steps) and
-    rebuilt when the residual stalls (above 0.3 times the previous
-    one).  A chord correction that does not shrink to
-    ``_CHORD_CONTRACTION`` times the previous correction is discarded
-    and solved again with a factor at the same ``u``, so no residual is
-    spent on it.  The old factor is released before the next is built.
+    The factorized tangent, the model's free-DOF block, is reused across
+    iterations (chord steps) and rebuilt when the residual stalls above
+    0.3 times the previous one (the stall rule).  A chord correction
+    that does not shrink to ``_CHORD_CONTRACTION`` times the previous
+    correction is discarded and solved again with a factor at the same
+    ``u``, so no residual is spent on it.  The old factor is released
+    before the next is built.
 
     Each factorization first tries ``_FAST_LU`` (minimum degree on
     A^T + A, symmetric mode, no pivoting, no relaxed supernodes).  If
@@ -420,9 +438,7 @@ def _newton(params, model, face_set, pressure_kpa, u0, free, block, stats):
     residual alone, which vanishes near convergence.  ``stats`` counts
     the factorizations and fallbacks.
     """
-    mesh = model.mesh
-    take, indices, indptr = block
-    n_free = len(indptr) - 1
+    mesh, free = model.mesh, model.free
     u = u0.copy()
     history = []
     first = None
@@ -446,21 +462,17 @@ def _newton(params, model, face_set, pressure_kpa, u0, free, block, stats):
             first = max(rnorm, ABS_TOL)
         elif rnorm > DIVERGENCE_FACTOR * first:
             raise StepRejected(f"Newton diverged, residual {rnorm:.3e}")
+        # the stall rule, which is part of the bound on the answer
         fresh = lu is None or rnorm > 0.3 * history[-1]
         history.append(rnorm)
         limit = _CHORD_CONTRACTION * dnorm
         while True:
             if fresh:
                 kff = lu = None            # free the old factor first
-                try:
-                    data = tangent_stiffness(mesh, params, u, model=model).data
-                    if pressure_kpa > 0.0:
-                        data = data - pressure_stiffness(
-                            mesh, pressure_kpa, u, face_set, model=model).data
-                except mat.InvalidDeformation as exc:
-                    raise StepRejected(str(exc)) from None
-                kff = sparse.csc_matrix((data[take], indices, indptr),
-                                        shape=(n_free, n_free))
+                kff = tangent_stiffness(mesh, params, u, model=model)
+                if pressure_kpa > 0.0:
+                    kff.data -= pressure_stiffness(
+                        mesh, pressure_kpa, u, face_set, model=model).data
                 stats["factorizations"] += 1
                 try:
                     lu = splu(kff, **_FAST_LU)
@@ -483,10 +495,8 @@ def _newton(params, model, face_set, pressure_kpa, u0, free, block, stats):
             if fresh or dnorm <= limit:
                 break
             fresh = True
-        u = u.reshape(-1)
-        u[free] += du
+        u.reshape(-1)[free] += du
         correction = dnorm / max(float(np.linalg.norm(u)), 1e-300)
-        u = u.reshape(-1, 3)
     raise StepRejected(f"no convergence in {MAX_NEWTON_ITERS} Newton iterations")
 
 
@@ -518,16 +528,15 @@ def solve(mesh, params, case, prescribed=None):
     factorizations and fallbacks spent on it, rejected attempts
     included.
     """
-    model = Model(mesh)
     mask = _fixed_mask(mesh, case)
     values = np.zeros((mesh.n_nodes, 3))
     if prescribed is not None:
         pmask, pvalues = prescribed
         mask = mask | pmask
         values = np.where(pmask, pvalues, values)
-    free = ~mask.reshape(-1)
+    # before _check_supports, so that an inverted mesh is reported as such
+    model = Model(mesh, ~mask.reshape(-1))
     _check_supports(mesh, mask)
-    block = model._free_block(free)
 
     u = np.zeros((mesh.n_nodes, 3))
     stats = {"factorizations": 0, "fallbacks": 0}
@@ -555,7 +564,7 @@ def solve(mesh, params, case, prescribed=None):
             try:
                 un, iters, hist, correction = _newton(
                     params, model, case.pressure_set, trial * target,
-                    np.where(mask, trial * values, guess), free, block, stats)
+                    np.where(mask, trial * values, guess), stats)
             except StepRejected as exc:
                 dt *= 0.5
                 if dt < floor - 1e-15:
@@ -600,11 +609,10 @@ def measure_elongation(mesh, solution, node_set=None):
 
 def _plane_normal(coords):
     c = coords - coords.mean(axis=0)
-    svals = np.linalg.svd(c, compute_uv=False)
+    _, svals, vt = np.linalg.svd(c, full_matrices=False)
     if svals[1] < 1e-9 * max(svals[0], 1e-30):
         raise ValueError("end-face nodes are collinear; plane normal "
                          "is not defined")
-    _, _, vt = np.linalg.svd(c, full_matrices=False)
     return vt[2]
 
 
@@ -659,9 +667,11 @@ def solution_table(mesh, solution, node_set=None):
 
 
 def write_solution_csv(mesh, solution, path, node_set=None):
+    """Write ``solution_table`` as CSV to ``path``; returns its rows."""
     rows = solution_table(mesh, solution, node_set)
     with open(path, "w", newline="") as fh:
         fh.write("increment,pressure_kPa,elongation_mm,bend_angle_deg,"
                  "max_displacement_mm\n")
         for i, p, e, b, d in rows:
             fh.write(f"{i},{p:.6g},{e:.6g},{b:.6g},{d:.6g}\n")
+    return rows

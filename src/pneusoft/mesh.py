@@ -176,6 +176,18 @@ def load_mesh(path):
         pos += 1
         return item
 
+    def read_count(text, lineno, what):
+        # checked before any allocation: each entry takes one of the lines left
+        if not text.isdigit():
+            raise MeshFormatError(f"line {lineno}: {what} count {text!r} is "
+                                  "not a non-negative integer")
+        count, left = int(text), len(content) - pos
+        if count > left:
+            raise MeshFormatError(
+                f"line {lineno}: unexpected end of file: {what} declares "
+                f"{count} entries, lines left: {left}")
+        return count
+
     lineno, header = next_line("header")
     if header != FORMAT_HEADER:
         raise MeshFormatError(f"line {lineno}: bad header {header!r}, "
@@ -185,7 +197,7 @@ def load_mesh(path):
     parts = decl.split()
     if len(parts) != 2 or parts[0] != "nodes":
         raise MeshFormatError(f"line {lineno}: expected 'nodes <N>', got {decl!r}")
-    n_nodes = int(parts[1])
+    n_nodes = read_count(parts[1], lineno, "nodes")
     nodes = np.empty((n_nodes, 3))
     for i in range(n_nodes):
         lineno, line = next_line("node line")
@@ -209,7 +221,7 @@ def load_mesh(path):
     parts = decl.split()
     if len(parts) != 2 or parts[0] != "tet10":
         raise MeshFormatError(f"line {lineno}: expected 'tet10 <M>', got {decl!r}")
-    n_elems = int(parts[1])
+    n_elems = read_count(parts[1], lineno, "tet10")
     tets = np.empty((n_elems, 10), dtype=np.int64)
     for i in range(n_elems):
         lineno, line = next_line("element line")
@@ -224,7 +236,8 @@ def load_mesh(path):
         if len(parts) != 3 or parts[0] not in ("nodeset", "faceset"):
             raise MeshFormatError(f"line {lineno}: expected 'nodeset|faceset "
                                   f"<name> <K>', got {decl!r}")
-        kind, name, count = parts[0], parts[1], int(parts[2])
+        kind, name = parts[0], parts[1]
+        count = read_count(parts[2], lineno, f"{kind} {name!r}")
         target = node_sets if kind == "nodeset" else face_sets
         if name in target:
             raise MeshFormatError(f"line {lineno}: duplicate {kind} {name!r}")

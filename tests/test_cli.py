@@ -162,6 +162,19 @@ def test_solve_orphan_node_exits_1(tmp_path, capsys):
     assert f"nodes [{m.n_nodes}]" in err
 
 
+def test_solve_mesh_with_impossible_count_exits_2(tmp_path, capsys):
+    msh = tmp_path / "huge.msh"
+    msh.write_text("pneusoft-mesh v1\nnodes 100000000000\n0 0 0 0\ntet10 0\n")
+    out = tmp_path / "s.csv"
+    rc = cli.main(["solve", "--mesh", str(msh), "--pressure", "10",
+                   "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: unexpected end of file: nodes "
+                          "declares 100000000000 entries")
+    assert not out.exists()
+
+
 def test_solve_tube_uses_plane_strain_supports(tmp_path, capsys):
     out = tmp_path / "tube.csv"
     rc = cli.main(["solve", "--kind", "tube", "--element-size", "4",

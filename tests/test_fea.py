@@ -90,32 +90,72 @@ class _Stop(Exception):
 
 
 def test_newton_factors_free_block_of_pattern(pocket_coarse, monkeypatch):
-    # the free-DOF matrix cut from the pattern's data equals the slice of
-    # the assembled tangent minus the load stiffness
+    # the matrix Newton factors equals the free-DOF block of the full
+    # model's tangent minus its load stiffness at the same state
     seen = {}
+    tangent = fea.tangent_stiffness
 
-    def record(name, original):
-        def call(*args, **kwargs):
-            seen[name] = original(*args, **kwargs)
-            if name == "splu":
-                raise _Stop
-            return seen[name]
-        monkeypatch.setattr(fea, name, call)
+    def record(mesh, params, u, **kwargs):
+        seen["u"] = u.copy()
+        return tangent(mesh, params, u, **kwargs)
 
-    record("tangent_stiffness", fea.tangent_stiffness)
-    record("pressure_stiffness", fea.pressure_stiffness)
-    record("splu", lambda k, **kwargs: k)
+    def stop(kff, **kwargs):
+        seen["kff"] = kff
+        raise _Stop
+
+    monkeypatch.setattr(fea, "tangent_stiffness", record)
+    monkeypatch.setattr(fea, "splu", stop)
     case = fea.LoadCase(target_pressure_kpa=20.0, increments=1)
     with pytest.raises(_Stop):
         fea.solve(pocket_coarse, PARAMS, case)
     mask = np.zeros((pocket_coarse.n_nodes, 3), dtype=bool)
     mask[pocket_coarse.node_set("fixed")] = True
     free = ~mask.reshape(-1)
-    want = (seen["tangent_stiffness"] - seen["pressure_stiffness"]).tocsr()[free][:, free]
-    got = seen["splu"]
+    full, u = fea.Model(pocket_coarse), seen["u"]
+    want = (tangent(pocket_coarse, PARAMS, u, model=full)
+            - fea.pressure_stiffness(pocket_coarse, 20.0, u, model=full))
+    want = want.tocsr()[free][:, free]
+    got = seen["kff"]
     assert got.format == "csc" and got.has_sorted_indices
     assert got.shape == want.shape
     assert abs(got - want).max() == 0.0
+
+
+def test_free_dof_model_gives_the_free_block():
+    # the half bending2 cavity touches the x-pinned symx plane, so some
+    # load-stiffness pairs have a constrained DOF and are dropped
+    mesh = coarse_mesh("bending2", 8.0, symmetric_half=True)
+    mask = np.zeros((mesh.n_nodes, 3), dtype=bool)
+    mask[mesh.node_set("fixed")] = True
+    mask[mesh.node_set("symx"), 0] = True
+    free = ~mask.reshape(-1)
+    model, full = fea.Model(mesh, free), fea.Model(mesh)
+    assert np.array_equal(model.free, free)
+    assert model.n_dof == np.count_nonzero(free)
+    assert np.any(model.face_pos("cavity") == len(model.indices))
+    u = _random_displacement(mesh, 5, scale=0.01)
+    for layer, args in ((fea.tangent_stiffness, (PARAMS, u)),
+                        (fea.pressure_stiffness, (30.0, u))):
+        got = layer(mesh, *args, model=model)
+        want = layer(mesh, *args, model=full).tocsr()[free][:, free].tocsc()
+        assert got.format == "csc" and got.has_canonical_format
+        assert got.shape == want.shape
+        for g, w in ((got.indptr, want.indptr), (got.indices, want.indices),
+                     (got.data, want.data)):
+            assert np.array_equal(g, w), layer.__name__
+
+
+def test_force_and_energy_calls_build_no_pattern(pocket_coarse):
+    # the sparsity pattern is built on the first stiffness call only
+    model = fea.Model(pocket_coarse)
+    u = _random_displacement(pocket_coarse, 3)
+    fea.internal_force(pocket_coarse, PARAMS, u, model=model)
+    fea.pressure_force(pocket_coarse, 30.0, u, model=model)
+    fea.total_strain_energy(pocket_coarse, PARAMS, u, model=model)
+    pattern = {"indptr", "indices", "tet_pos"}
+    assert not pattern & set(vars(model))
+    fea.tangent_stiffness(pocket_coarse, PARAMS, u, model=model)
+    assert pattern <= set(vars(model))
 
 
 def test_pressure_faces_outside_tet_pattern_rejected(pocket_coarse):

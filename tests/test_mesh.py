@@ -198,6 +198,22 @@ def test_load_ignores_comments_and_blanks(tmp_path):
      r"node id 9 outside"),
     (lambda t: t[:t.index("1 1 0 0")],
      r"unexpected end of file"),
+    # impossible counts are refused before any array is allocated
+    (lambda t: t.replace("nodes 3", "nodes 100000000000"),
+     r"line 2: unexpected end of file: nodes declares 100000000000 entries, "
+     r"lines left: 7$"),
+    (lambda t: t.replace("nodes 3", "nodes -3"),
+     r"line 2: nodes count '-3' is not a non-negative integer"),
+    (lambda t: t.replace("nodes 3", "nodes abc"),
+     r"line 2: nodes count 'abc' is not a non-negative integer"),
+    (lambda t: t.replace("tet10 0", "tet10 100000000000"),
+     r"line 6: unexpected end of file: tet10 declares 100000000000 entries, "
+     r"lines left: 3$"),
+    (lambda t: t.replace("nodeset a 2", "nodeset a 100000000000"),
+     r"line 7: unexpected end of file: nodeset 'a' declares 100000000000 "
+     r"entries, lines left: 2$"),
+    (lambda t: t.replace("nodeset a 2", "nodeset a -1"),
+     r"line 7: nodeset 'a' count '-1' is not a non-negative integer"),
 ])
 def test_load_rejects_malformed_files(tmp_path, mutate, match):
     with pytest.raises(meshmod.MeshFormatError, match=match):
