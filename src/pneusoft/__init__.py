@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 
 from .geometry import ActuatorSpec, generate_mesh
 from .material import (
-    DeformationState,
     HyperelasticParams,
     InvalidDeformation,
     calibrate_c10,
@@ -40,7 +39,6 @@ __all__ = [
     "ActuatorSpec",
     "BathPlant",
     "DeadbandController",
-    "DeformationState",
     "DutyCycleController",
     "EarthwormParams",
     "GripperParams",

@@ -230,6 +230,7 @@ def _sweep(text):
             or vals[1] < vals[0]):
         raise ValueError("--sweep needs finite START:STOP:STEP with "
                          f"START <= STOP and STEP > 0, got {text!r}")
+    pneumatics.sample_count((vals[1] - vals[0]) / vals[2] + 1.0)
     return np.arange(vals[0], vals[1] + 1e-9, vals[2])
 
 

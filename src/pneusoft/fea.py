@@ -72,10 +72,6 @@ _CORRECTION_TOL = 1e-8
 _CHORD_CONTRACTION = 0.25
 
 _EYE = np.eye(3)
-_EPS3 = np.zeros((3, 3, 3))
-for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-    _EPS3[_i, _j, _k] = 1.0
-    _EPS3[_i, _k, _j] = -1.0
 
 
 class StepRejected(RuntimeError):
@@ -137,6 +133,8 @@ _AX3 = np.arange(3)
 _TRI_QP, _TRI_W = tri_quadrature()
 _TRI_N = tri6_shape(_TRI_QP)                               # (q, 6)
 _TRI_DN = tri6_shape_grad(_TRI_QP)                         # (q, 6, 2)
+_TRI_WN = _TRI_W[:, None] * _TRI_N                         # (q, 6)
+_TRI_DN_PERP = np.stack([_TRI_DN[..., 1], -_TRI_DN[..., 0]], axis=-1)  # (q, 6, 2)
 
 
 class Model:
@@ -259,8 +257,7 @@ def _node_sum(conn, values, n_nodes):
 def total_strain_energy(mesh, params, u, *, model=None):
     """Integral of the energy density over the reference solid, in mJ."""
     model = model or Model(mesh)
-    state = mat.DeformationState.from_gradient(model.def_grad(u))
-    w = mat.strain_energy(params, state)
+    w = mat.strain_energy(params, model.def_grad(u))
     return float(np.einsum("eq,eq->", w, model.detjw))
 
 
@@ -330,21 +327,23 @@ def pressure_force(mesh, pressure_kpa, u, face_set="cavity", *, model=None):
     model = model or Model(mesh)
     faces, _, nvec = _deformed_tangents(model, face_set, u)
     p = KPA_TO_MPA * pressure_kpa
-    fe = -p * np.einsum("qa,fqi,q->fai", _TRI_N, nvec, _TRI_W)
+    fe = -p * np.einsum("qa,fqi->fai", _TRI_WN, nvec)
     return _node_sum(faces, fe, mesh.n_nodes)
 
 
 def pressure_stiffness(mesh, pressure_kpa, u, face_set="cavity", *,
                        model=None):
     """Sparse d f_pressure / d u on the model's DOFs and the pattern of
-    ``tangent_stiffness``; the load stiffness is unsymmetric."""
+    ``tangent_stiffness``; the load stiffness is unsymmetric.  With n =
+    t0 x t1, dn = sum_b v_b x du_b for v_b = dN_b/deta t0 - dN_b/dxi t1,
+    so K[a i, b m] = -p (V_ab x e_m)_i with V_ab = sum_q w N_a v_b.
+    """
     model = model or Model(mesh)
     _, t, _ = _deformed_tangents(model, face_set, u)
     p = KPA_TO_MPA * pressure_kpa
-    a1 = np.einsum("imk,fqk->fqim", _EPS3, t[..., 1])
-    a2 = np.einsum("ijm,fqj->fqim", _EPS3, t[..., 0])
-    ke = -p * (np.einsum("qa,q,fqim,qb->faibm", _TRI_N, _TRI_W, a1, _TRI_DN[:, :, 0])
-               + np.einsum("qa,q,fqim,qb->faibm", _TRI_N, _TRI_W, a2, _TRI_DN[:, :, 1]))
+    vab = np.einsum("qa,qbd,fqkd->fabk", _TRI_WN, _TRI_DN_PERP, t, optimize=True)
+    # np.cross(V, e_m)_i sits at [f, a, b, m, i]
+    ke = -p * np.cross(vab[..., None, :], _EYE).transpose(0, 1, 4, 2, 3)
     return model._matrix(model.face_pos(face_set), ke)
 
 

@@ -391,6 +391,10 @@ def _estimated_nodes(spec):
         axes = ([r_in, r_out], [0.0, spec.length])
         points = max(8.0, math.pi * (r_in + r_out) / h)    # theta lines
     else:
+        # >= 2 grid lines on x and y and per band or chamber on z: a bound without boxes
+        bands = spec.bellows_count if spec.kind in ("linear", "pocket") else spec.chambers
+        if 64.0 * bands > MAX_MESH_NODES:
+            return 64.0 * bands
         axes = _box_layout(spec)[2]
         points = 1.0
     for br in axes:
@@ -425,9 +429,9 @@ def generate_mesh(spec):
     _check_element_size(spec)
     nodes = _estimated_nodes(spec)
     if nodes > MAX_MESH_NODES:
-        raise ValueError(f"element_size {spec.element_size:g} mm asks for "
-                         f"about {nodes:.3g} mesh nodes, more than the "
-                         f"{MAX_MESH_NODES} allowed; enlarge element_size")
+        raise ValueError(f"the {spec.kind} spec asks for about {nodes:.3g} mesh "
+                         f"nodes, more than the {MAX_MESH_NODES} allowed; enlarge "
+                         "element_size or lower the bellows or chamber count")
     if spec.kind == "tube":
         return _tube_mesh(spec)
     return _box_mesh(spec)

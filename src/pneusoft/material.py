@@ -8,8 +8,10 @@ with I1bar the first invariant of the isochoric right Cauchy-Green
 tensor and J = det F.  The volumetric term is a penalty that enforces
 near-incompressibility; by default kappa = 1000 * c10.
 
-All tensor routines accept stacked deformation gradients of shape
-(..., 3, 3) and return correspondingly stacked results.
+Every constitutive function takes stacked deformation gradients F of
+shape (..., 3, 3), returns correspondingly stacked results and checks F
+in ``_kinematics``: ValueError for another shape, InvalidDeformation
+for det F <= 0.
 """
 
 import warnings
@@ -54,50 +56,35 @@ class HyperelasticParams:
             )
 
 
-@dataclass(frozen=True)
-class DeformationState:
-    """Deformation gradient plus cached invariants J and I1bar."""
-
-    f: np.ndarray
-    j: np.ndarray
-    i1bar: np.ndarray
-
-    @classmethod
-    def from_gradient(cls, f):
-        f = np.asarray(f, dtype=float)
-        if f.shape[-2:] != (3, 3):
-            raise ValueError(f"deformation gradient must be (..., 3, 3), got {f.shape}")
-        j, _, i1 = _kinematics(f)
-        return cls(f=f, j=j, i1bar=j ** (-2.0 / 3.0) * i1)
+def strain_energy(params, f):
+    """Energy density W >= 0 of stacked gradients, zero exactly at the identity."""
+    j, _, i1 = _kinematics(f)
+    return (params.c10 * (j ** (-2.0 / 3.0) * i1 - 3.0)
+            + 0.5 * params.kappa * (j - 1.0) ** 2)
 
 
-def strain_energy(params, state):
-    """Energy density W >= 0, zero exactly at the identity."""
-    return (params.c10 * (state.i1bar - 3.0)
-            + 0.5 * params.kappa * (state.j - 1.0) ** 2)
-
-
-def cauchy_stress(params, state):
+def cauchy_stress(params, f):
     """Cauchy stress, symmetric, (..., 3, 3).
 
     Deviatoric part 2*c10/J^(5/3) * dev(B) plus pressure kappa*(J-1)*I.
     """
-    f, j = state.f, np.asarray(state.j)
+    f, j = np.asarray(f, dtype=float), _kinematics(f)[0]
     b = np.einsum("...ik,...jk->...ij", f, f)
-    trb = np.einsum("...ii->...", b)
-    dev_b = b - (trb / 3.0)[..., None, None] * _EYE
+    dev_b = b - (np.einsum("...ii->...", b) / 3.0)[..., None, None] * _EYE
     sig = 2.0 * params.c10 * j[..., None, None] ** (-5.0 / 3.0) * dev_b
-    sig += (params.kappa * (j - 1.0))[..., None, None] * _EYE
-    return sig
+    return sig + (params.kappa * (j - 1.0))[..., None, None] * _EYE
 
 
 def _kinematics(f):
-    """(J, C^-1, I1) of stacked gradients; InvalidDeformation unless J > 0.
+    """(J, C^-1, I1) of stacked gradients; ValueError unless their shape
+    is (..., 3, 3), InvalidDeformation unless J > 0.
 
     J is the cofactor expansion of det F along its first row, and C^-1
     the cofactor matrix of the symmetric C over det C = J^2.
     """
     f = np.asarray(f, dtype=float)
+    if f.shape[-2:] != (3, 3):
+        raise ValueError(f"deformation gradient must be (..., 3, 3), got {f.shape}")
     j = np.einsum("...i,...i->...", f[..., 0, :],
                   np.cross(f[..., 1, :], f[..., 2, :]))
     if np.any(j <= 0.0):

@@ -23,6 +23,8 @@ DEFAULT_TAU_FILL_S = 0.20
 DEFAULT_TAU_VENT_S = 0.35
 DEFAULT_SUPPLY_KPA = 250.0
 DEFAULT_SAMPLE_HZ = 50.0
+# the most samples sample_count allows: ~1.5 s, 20 MB (criterion 8 needs 108 000)
+MAX_SAMPLES = 1_000_000
 
 
 @dataclass
@@ -124,6 +126,14 @@ class ControlTrace:
                 fh.write(f"{t:.6g},{p:.6g},{int(i)},{int(v)}\n")
 
 
+def sample_count(count):
+    """The float ``count`` of a loop's samples; ValueError above MAX_SAMPLES or nan."""
+    if not count <= MAX_SAMPLES:
+        raise ValueError(f"{count:.3g} samples asked for, more than the "
+                         f"{MAX_SAMPLES} allowed")
+    return count
+
+
 def run_control(plant, controller, duration_s, sample_hz=DEFAULT_SAMPLE_HZ):
     """Sample the controller against the plant for duration_s.
 
@@ -133,7 +143,7 @@ def run_control(plant, controller, duration_s, sample_hz=DEFAULT_SAMPLE_HZ):
     if not all(math.isfinite(v) and v > 0 for v in (duration_s, sample_hz)):
         raise ValueError("duration and sample rate must be positive and "
                          f"finite, got {duration_s} s and {sample_hz} Hz")
-    n = int(round(duration_s * sample_hz))
+    n = int(round(sample_count(duration_s * sample_hz)))
     dt = 1.0 / sample_hz
     time_s = np.arange(n + 1) * dt
     pressure = np.empty(n + 1)
@@ -256,7 +266,7 @@ def run_bath(plant, controller, duration_s, dt_s=0.1):
         warnings.warn(
             f"setpoint {controller.setpoint_c:g} degC exceeds the heater "
             f"equilibrium {reachable:g} degC; the band will never be reached")
-    n = int(round(duration_s / dt_s))
+    n = int(round(sample_count(duration_s / dt_s)))
     time_s = np.arange(n + 1) * dt_s
     temp = np.empty(n + 1)
     heater = np.zeros(n + 1, dtype=bool)

@@ -245,7 +245,6 @@ class GripperParams:
     contact_kpa_at_60mm: float = 5.0
     contact_slope_kpa_per_mm: float = -0.05
     adhesion_n: float = 0.0
-    gripper_mass_g: float = 54.0
 
     def __post_init__(self):
         if self.finger_count < 1:

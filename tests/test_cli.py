@@ -35,6 +35,11 @@ def test_python_m_runs_the_cli():
     assert "pneusoft" in done.stdout
 
 
+def test_every_exported_name_resolves():
+    import pneusoft
+    assert [name for name in pneusoft.__all__ if not hasattr(pneusoft, name)] == []
+
+
 def test_missing_required_arguments_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["mesh"])  # --kind is required
@@ -83,6 +88,19 @@ def test_mesh_over_node_cap_exits_2(monkeypatch, capsys):
                    "--pressure", "10"])
     assert rc == 2
     assert "mesh nodes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["mesh", "--kind", "linear", "--bellows-count", "10000000"],
+    ["mesh", "--kind", "bending1", "--chambers", "10000000", "--gap", "0",
+     "--wall", "0.000001", "--element-size", "1"],
+])
+def test_mesh_huge_band_counts_exit_2(capsys, argv):
+    # the node estimate is bounded from the count before one box per
+    # bellows band or chamber is listed
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "mesh nodes" in err
 
 
 def test_solve_zero_pressure_writes_reference_row(tmp_path, capsys):
@@ -250,6 +268,11 @@ def test_robot_earthworm_sweep(tmp_path, capsys):
     # non-finite config values
     ["robot", "quadruped", "--set", "quadruped.bend_table_deg=0,nan,5,7,10,12,15"],
     ["robot", "bath", "--duration", "10", "--set", "bath.setpoint_c=nan"],
+    # sample counts over pneumatics.MAX_SAMPLES, refused before allocating
+    ["control", "--duration", "1e12"],
+    ["robot", "bath", "--duration", "1e13"],
+    ["robot", "earthworm", "--sweep", "0.2:1e12:0.1"],
+    ["control", "--duration", "1e300", "--sample-hz", "1e300"],
 ])
 def test_bad_loop_lengths_exit_2(capsys, argv):
     assert cli.main(argv) == 2

@@ -116,6 +116,8 @@ def test_run_control_validation():
         pneu.run_control(plant, ctl, duration_s=math.inf)
     with pytest.raises(ValueError):
         pneu.run_control(plant, ctl, duration_s=1.0, sample_hz=math.inf)
+    with pytest.raises(ValueError, match="samples"):
+        pneu.run_control(plant, ctl, duration_s=1e12)
 
 
 def test_control_trace_csv(tmp_path):
@@ -271,3 +273,5 @@ def test_run_bath_validation():
         pneu.run_bath(bath, ctl, duration_s=math.inf)
     with pytest.raises(ValueError):
         pneu.run_bath(bath, ctl, duration_s=1.0, dt_s=math.inf)
+    with pytest.raises(ValueError, match="samples"):
+        pneu.run_bath(bath, ctl, duration_s=1e13)
