@@ -5,9 +5,13 @@ mid-edge nodes.  For the tetrahedron the mid-edge nodes sit on edges
 (0,1), (1,2), (0,2), (0,3), (1,3), (2,3); for the triangle on edges
 (0,1), (1,2), (2,0).  Mid-edge nodes are placed at geometric midpoints,
 so element edges are straight and the reference-to-physical map of a
-well-shaped element has constant Jacobian.  ``tet10_jacobian`` and
-``tri6_tangents`` evaluate that map at the quadrature points for the
-solver and the mesh checks alike.
+well-shaped element has constant Jacobian.
+
+``p2_basis`` is the one quadratic basis of both elements.  Its tables at
+the quadrature points (``TET_QP``, ``TET_W``, ``TET_DN`` and ``TRI_QP``,
+``TRI_W``, ``TRI_N``, ``TRI_DN``) are built once at import and read-only;
+``tet10_jacobian`` and ``tri6_tangents`` evaluate the reference-to-physical
+map with them for the solver and the mesh checks alike.
 """
 
 import numpy as np
@@ -16,73 +20,29 @@ import numpy as np
 TET10_EDGES = ((0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (2, 3))
 TRI6_EDGES = ((0, 1), (1, 2), (2, 0))
 
-def tet10_shape(points):
-    """Shape functions at natural coordinates ``points`` (n, 3) -> (n, 10)."""
+
+def p2_basis(points, edges):
+    """Quadratic Lagrange basis on the unit simplex at natural coordinates
+    ``points`` (n, d): values N (n, m) and gradients dN/dxi (n, m, d),
+    m = d + 1 + len(edges).  With the barycentric coordinates
+    L = (1 - sum xi, xi), corner a has L_a (2 L_a - 1) and the mid-node of
+    edge (a, b) has 4 L_a L_b."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    xi, eta, zeta = pts[:, 0], pts[:, 1], pts[:, 2]
-    l1 = 1.0 - xi - eta - zeta
-    l2, l3, l4 = xi, eta, zeta
-    n = np.empty((pts.shape[0], 10))
-    n[:, 0] = l1 * (2.0 * l1 - 1.0)
-    n[:, 1] = l2 * (2.0 * l2 - 1.0)
-    n[:, 2] = l3 * (2.0 * l3 - 1.0)
-    n[:, 3] = l4 * (2.0 * l4 - 1.0)
-    n[:, 4] = 4.0 * l1 * l2
-    n[:, 5] = 4.0 * l2 * l3
-    n[:, 6] = 4.0 * l1 * l3
-    n[:, 7] = 4.0 * l1 * l4
-    n[:, 8] = 4.0 * l2 * l4
-    n[:, 9] = 4.0 * l3 * l4
-    return n
-
-
-def tet10_shape_grad(points):
-    """Shape function gradients d N / d (xi, eta, zeta) -> (n, 10, 3)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    xi, eta, zeta = pts[:, 0], pts[:, 1], pts[:, 2]
-    l1 = 1.0 - xi - eta - zeta
-    l2, l3, l4 = xi, eta, zeta
-    dl = np.array([[-1.0, -1.0, -1.0], [1.0, 0.0, 0.0],
-                   [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    g = np.empty((pts.shape[0], 10, 3))
-    lam = (l1, l2, l3, l4)
-    for i in range(4):
-        g[:, i, :] = (4.0 * lam[i] - 1.0)[:, None] * dl[i]
-    for k, (a, b) in enumerate(TET10_EDGES):
-        g[:, 4 + k, :] = 4.0 * (lam[b][:, None] * dl[a] + lam[a][:, None] * dl[b])
-    return g
-
-
-def tri6_shape(points):
-    """Shape functions on the unit triangle, (n, 2) -> (n, 6)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    xi, eta = pts[:, 0], pts[:, 1]
-    l1 = 1.0 - xi - eta
-    l2, l3 = xi, eta
-    n = np.empty((pts.shape[0], 6))
-    n[:, 0] = l1 * (2.0 * l1 - 1.0)
-    n[:, 1] = l2 * (2.0 * l2 - 1.0)
-    n[:, 2] = l3 * (2.0 * l3 - 1.0)
-    n[:, 3] = 4.0 * l1 * l2
-    n[:, 4] = 4.0 * l2 * l3
-    n[:, 5] = 4.0 * l3 * l1
-    return n
-
-
-def tri6_shape_grad(points):
-    """Gradients d N / d (xi, eta) on the unit triangle -> (n, 6, 2)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    xi, eta = pts[:, 0], pts[:, 1]
-    l1 = 1.0 - xi - eta
-    l2, l3 = xi, eta
-    dl = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-    g = np.empty((pts.shape[0], 6, 2))
-    lam = (l1, l2, l3)
-    for i in range(3):
-        g[:, i, :] = (4.0 * lam[i] - 1.0)[:, None] * dl[i]
-    for k, (a, b) in enumerate(TRI6_EDGES):
-        g[:, 3 + k, :] = 4.0 * (lam[b][:, None] * dl[a] + lam[a][:, None] * dl[b])
-    return g
+    d = pts.shape[1]
+    l0 = 1.0
+    for x in pts.T:                 # 1 - xi - eta - zeta in this order, not sum()
+        l0 = l0 - x
+    lam = (l0, *pts.T)
+    dl = np.vstack([-np.ones(d), np.eye(d)])
+    n = np.empty((len(pts), d + 1 + len(edges)))
+    g = np.empty(n.shape + (d,))
+    for i, li in enumerate(lam):
+        n[:, i] = li * (2.0 * li - 1.0)
+        g[:, i] = (4.0 * li - 1.0)[:, None] * dl[i]
+    for k, (a, b) in enumerate(edges, start=d + 1):
+        n[:, k] = 4.0 * lam[a] * lam[b]
+        g[:, k] = 4.0 * (lam[b][:, None] * dl[a] + lam[a][:, None] * dl[b])
+    return n, g
 
 
 def tet_quadrature():
@@ -114,20 +74,25 @@ def tri_quadrature():
     return pts, w
 
 
-_TET_DN = tet10_shape_grad(tet_quadrature()[0])            # (q, 10, 3)
-_TRI_DN = tri6_shape_grad(tri_quadrature()[0])             # (q, 6, 2)
+# the basis at the quadrature points, built once for every module
+TET_QP, TET_W = tet_quadrature()                   # (q, 3), (q,)
+_, TET_DN = p2_basis(TET_QP, TET10_EDGES)          # (q, 10, 3)
+TRI_QP, TRI_W = tri_quadrature()                   # (q, 2), (q,)
+TRI_N, TRI_DN = p2_basis(TRI_QP, TRI6_EDGES)       # (q, 6), (q, 6, 2)
+for _table in (TET_QP, TET_W, TET_DN, TRI_QP, TRI_W, TRI_N, TRI_DN):
+    _table.flags.writeable = False
 
 
 def tet10_jacobian(xe):
     """Jacobians J_md = dX_m / dxi_d of tet10 elements with node
     coordinates ``xe`` (M, 10, 3) at the ``tet_quadrature`` points,
     (M, q, 3, 3)."""
-    return np.einsum("eam,qad->eqmd", xe, _TET_DN)
+    return np.einsum("eam,qad->eqmd", xe, TET_DN)
 
 
 def tri6_tangents(xf):
     """Tangents dX/d(xi, eta) (K, q, 3, 2) of TRI6 faces with node
     coordinates ``xf`` (K, 6, 3) at the ``tri_quadrature`` points, and
     their cross products, the area vectors (K, q, 3)."""
-    t = np.einsum("fam,qad->fqmd", xf, _TRI_DN)
+    t = np.einsum("fam,qad->fqmd", xf, TRI_DN)
     return t, np.cross(t[..., 0], t[..., 1])

@@ -48,8 +48,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from . import material as mat
-from .elements import (tet10_jacobian, tet10_shape_grad, tet_quadrature, tri6_shape,
-                       tri6_shape_grad, tri6_tangents, tri_quadrature)
+from .elements import TET_DN, TET_W, TRI_DN, TRI_N, TRI_W, tet10_jacobian, tri6_tangents
 
 log = logging.getLogger("pneusoft.fea")
 
@@ -59,6 +58,9 @@ ABS_TOL = 1e-10          # newtons
 MAX_NEWTON_ITERS = 30
 MAX_BISECTIONS = 5
 DIVERGENCE_FACTOR = 1e6
+# the most load stations a LoadCase allows; the Solution keeps one
+# displacement array per station (criterion 9 uses 60)
+MAX_INCREMENTS = 1000
 # the fast factorization of the free-DOF tangent (relax=1: no relaxed
 # supernodes, which would store explicit zeros), and the normwise backward
 # error of a back-solve above which the COLAMD/partial-pivoting fallback runs
@@ -107,8 +109,9 @@ class LoadCase:
         if self.target_pressure_kpa < 0:
             raise ValueError("vacuum loading is not supported; "
                              f"got {self.target_pressure_kpa} kPa")
-        if self.increments < 1:
-            raise ValueError(f"increments must be >= 1, got {self.increments}")
+        if not 1 <= self.increments <= MAX_INCREMENTS:
+            raise ValueError(f"increments must be in 1..{MAX_INCREMENTS}, "
+                             f"got {self.increments}")
 
 
 @dataclass
@@ -130,11 +133,8 @@ class Solution:
 # ---------------------------------------------------------------- kernels
 
 _AX3 = np.arange(3)
-_TRI_QP, _TRI_W = tri_quadrature()
-_TRI_N = tri6_shape(_TRI_QP)                               # (q, 6)
-_TRI_DN = tri6_shape_grad(_TRI_QP)                         # (q, 6, 2)
-_TRI_WN = _TRI_W[:, None] * _TRI_N                         # (q, 6)
-_TRI_DN_PERP = np.stack([_TRI_DN[..., 1], -_TRI_DN[..., 0]], axis=-1)  # (q, 6, 2)
+_TRI_WN = TRI_W[:, None] * TRI_N                           # (q, 6)
+_TRI_DN_PERP = np.stack([TRI_DN[..., 1], -TRI_DN[..., 0]], axis=-1)  # (q, 6, 2)
 
 
 class Model:
@@ -157,8 +157,6 @@ class Model:
 
     def __init__(self, mesh, free=None):
         self.mesh = mesh
-        qp, w = tet_quadrature()
-        dn_ref = tet10_shape_grad(qp)                      # (q, 10, 3)
         jac = tet10_jacobian(mesh.nodes[mesh.tets])        # (M, q, 3, 3)
         det = np.linalg.det(jac)
         if np.any(det <= 0.0):
@@ -166,10 +164,10 @@ class Model:
             raise ValueError(f"element {bad} has non-positive reference "
                              f"Jacobian; mesh is inverted")
         inv = np.linalg.inv(jac)                           # (M, q, 3, 3)
-        self.dndx = np.einsum("qad,eqdm->eqam", dn_ref, inv)
-        self.detjw = det * w[None, :]
+        self.dndx = np.einsum("qad,eqdm->eqam", TET_DN, inv)
+        self.detjw = det * TET_W
         self.wdndx = (self.dndx * self.detjw[..., None, None]).transpose(
-            0, 2, 1, 3).reshape(len(mesh.tets), 10, 3 * len(w))
+            0, 2, 1, 3).reshape(len(mesh.tets), 10, 3 * len(TET_W))
         self.free = np.ones(3 * mesh.n_nodes, bool) if free is None else free
         self.number = np.where(self.free, np.cumsum(self.free) - 1, -1)
         self.n_dof = int(np.count_nonzero(self.free))

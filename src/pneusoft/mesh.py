@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elements import tet10_jacobian, tri6_tangents, tri_quadrature
+from .elements import TRI_W, tet10_jacobian, tri6_tangents
 
 FORMAT_HEADER = "pneusoft-mesh v1"
 POOR_JACOBIAN_RATIO = 0.05
@@ -113,10 +113,9 @@ def face_normal_sum(mesh, name):
     Uses the same quadrature as the pressure load, so a closed cavity
     returns a sum that vanishes to round-off.
     """
-    _, w = tri_quadrature()
     _, nvec = tri6_tangents(mesh.nodes[mesh.face_set(name)])   # (K, q, 3)
-    total = np.einsum("fqi,q->i", nvec, w)
-    area = float(np.einsum("fq,q->", np.linalg.norm(nvec, axis=2), w))
+    total = np.einsum("fqi,q->i", nvec, TRI_W)
+    area = float(np.einsum("fq,q->", np.linalg.norm(nvec, axis=2), TRI_W))
     return total, area
 
 
@@ -204,10 +203,14 @@ def load_mesh(path):
         parts = line.split()
         if len(parts) != 4:
             raise MeshFormatError(f"line {lineno}: node lines need 'id x y z'")
-        if int(parts[0]) != i:
+        try:
+            node_id, xyz = int(parts[0]), [float(p) for p in parts[1:]]
+        except ValueError as exc:
+            raise MeshFormatError(f"line {lineno}: {exc}") from None
+        if node_id != i:
             raise MeshFormatError(f"line {lineno}: node id {parts[0]} out of order, "
                                   f"expected {i}")
-        nodes[i] = [float(parts[1]), float(parts[2]), float(parts[3])]
+        nodes[i] = xyz
         if not np.all(np.isfinite(nodes[i])):
             raise MeshFormatError(f"line {lineno}: non-finite coordinate")
 

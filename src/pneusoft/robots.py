@@ -107,8 +107,10 @@ def earthworm_speed(params, frequency_hz):
 
 def earthworm_frequency_sweep(params, frequencies_hz):
     """Speeds across a frequency grid; rows of (freq_Hz, speed_mm_s)."""
-    return np.array([(float(f), earthworm_speed(params, float(f)))
-                     for f in frequencies_hz])
+    freqs = np.asarray(frequencies_hz, dtype=float)
+    speeds = np.fromiter((earthworm_speed(params, float(f)) for f in freqs),
+                         float, count=len(freqs))
+    return np.column_stack([freqs, speeds])
 
 
 # ------------------------------------------------------------- quadruped

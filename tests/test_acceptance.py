@@ -5,7 +5,7 @@ One test per criterion.  Each registers a single PASS/FAIL summary line
 stated tolerance, so a red run still reports every criterion.
 Criteria 1, 2, 3 and 5 run the checks of ``pneusoft verify`` itself.
 The bending solves use the coarse settings (half meshes, 60
-increments); no refinement study backs them yet (ROADMAP item 4).
+increments); no refinement study backs them yet (ROADMAP item 2).
 """
 
 import time

@@ -35,11 +35,6 @@ def test_python_m_runs_the_cli():
     assert "pneusoft" in done.stdout
 
 
-def test_every_exported_name_resolves():
-    import pneusoft
-    assert [name for name in pneusoft.__all__ if not hasattr(pneusoft, name)] == []
-
-
 def test_missing_required_arguments_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["mesh"])  # --kind is required
@@ -143,12 +138,13 @@ def test_solve_unknown_config_key_exits_2(capsys):
     rc = cli.main(["solve", "--kind", "pocket", "--pressure", "0",
                    "--set", "material.c10=0.3"])
     assert rc == 2
-    assert "unknown config key" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: unknown config key")
 
 
 @pytest.mark.parametrize("extra", [("--pressure", "nan"),
                                    ("--pressure", "inf"),
-                                   ("--pressure", "10", "--increments", "0")])
+                                   ("--pressure", "10", "--increments", "0"),
+                                   ("--pressure", "10", "--increments", "1000000000")])
 def test_solve_invalid_load_case_exits_2(tmp_path, capsys, extra):
     out = tmp_path / "s.csv"
     rc = cli.main(["solve", "--kind", "pocket", "--element-size", "2.5",

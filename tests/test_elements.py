@@ -1,8 +1,9 @@
-"""Quadrature rules and shape functions for the quadratic elements."""
+"""Quadrature rules and the quadratic basis of the simplex elements."""
 
 import math
 
 import numpy as np
+import pytest
 
 from pneusoft import elements
 
@@ -66,49 +67,50 @@ def test_tri_quadrature_integrates_quartics_exactly():
             assert abs(approx - exact) < 1e-15, (a, b)
 
 
-def test_tet10_shapes_interpolate():
-    vals = elements.tet10_shape(TET10_NATURAL)
-    assert np.allclose(vals, np.eye(10), atol=1e-14)
-    rng = np.random.default_rng(3)
-    pts = rng.dirichlet((1.0, 1.0, 1.0, 1.0), size=50)[:, :3]
-    vals = elements.tet10_shape(pts)
+# (mid-node edges, natural node coordinates, seeds of the interpolation
+# and finite-difference draws) of each element
+SIMPLICES = pytest.mark.parametrize("edges, natural, seeds", [
+    (elements.TET10_EDGES, TET10_NATURAL, (3, 11)),
+    (elements.TRI6_EDGES, TRI6_NATURAL, (4, 12)),
+], ids=["tet10", "tri6"])
+
+
+@SIMPLICES
+def test_p2_basis_interpolates(edges, natural, seeds):
+    d = natural.shape[1]
+    vals, _ = elements.p2_basis(natural, edges)
+    assert np.allclose(vals, np.eye(len(natural)), atol=1e-14)
+    rng = np.random.default_rng(seeds[0])
+    pts = rng.dirichlet(np.ones(d + 1), size=50)[:, :d]
+    vals, grads = elements.p2_basis(pts, edges)
     assert np.allclose(vals.sum(axis=-1), 1.0, atol=1e-14)
-    grads = elements.tet10_shape_grad(pts)
     assert np.allclose(grads.sum(axis=-2), 0.0, atol=1e-13)
 
 
-def test_tri6_shapes_interpolate():
-    vals = elements.tri6_shape(TRI6_NATURAL)
-    assert np.allclose(vals, np.eye(6), atol=1e-14)
-    rng = np.random.default_rng(4)
-    pts = rng.dirichlet((1.0, 1.0, 1.0), size=50)[:, :2]
-    vals = elements.tri6_shape(pts)
-    assert np.allclose(vals.sum(axis=-1), 1.0, atol=1e-14)
-    grads = elements.tri6_shape_grad(pts)
-    assert np.allclose(grads.sum(axis=-2), 0.0, atol=1e-13)
-
-
-def test_tet10_gradients_match_finite_differences():
-    rng = np.random.default_rng(11)
-    pts = rng.dirichlet((2.0, 2.0, 2.0, 2.0), size=20)[:, :3]
-    grads = elements.tet10_shape_grad(pts)
+@SIMPLICES
+def test_p2_basis_gradients_match_finite_differences(edges, natural, seeds):
+    d = natural.shape[1]
+    rng = np.random.default_rng(seeds[1])
+    pts = rng.dirichlet(np.full(d + 1, 2.0), size=20)[:, :d]
+    _, grads = elements.p2_basis(pts, edges)
     h = 1e-6
-    for axis in range(3):
-        dp = np.zeros(3)
+    for axis in range(d):
+        dp = np.zeros(d)
         dp[axis] = h
-        fd = (elements.tet10_shape(pts + dp)
-              - elements.tet10_shape(pts - dp)) / (2.0 * h)
+        fd = (elements.p2_basis(pts + dp, edges)[0]
+              - elements.p2_basis(pts - dp, edges)[0]) / (2.0 * h)
         assert np.allclose(grads[..., axis], fd, atol=1e-8)
 
 
-def test_tri6_gradients_match_finite_differences():
-    rng = np.random.default_rng(12)
-    pts = rng.dirichlet((2.0, 2.0, 2.0), size=20)[:, :2]
-    grads = elements.tri6_shape_grad(pts)
-    h = 1e-6
-    for axis in range(2):
-        dp = np.zeros(2)
-        dp[axis] = h
-        fd = (elements.tri6_shape(pts + dp)
-              - elements.tri6_shape(pts - dp)) / (2.0 * h)
-        assert np.allclose(grads[..., axis], fd, atol=1e-8)
+def test_quadrature_tables_are_the_read_only_basis_at_the_rules():
+    qp, w = elements.tet_quadrature()
+    assert np.array_equal(elements.TET_QP, qp) and np.array_equal(elements.TET_W, w)
+    _, dn = elements.p2_basis(qp, elements.TET10_EDGES)
+    assert np.array_equal(elements.TET_DN, dn)
+    qp, w = elements.tri_quadrature()
+    assert np.array_equal(elements.TRI_QP, qp) and np.array_equal(elements.TRI_W, w)
+    n, dn = elements.p2_basis(qp, elements.TRI6_EDGES)
+    assert np.array_equal(elements.TRI_N, n) and np.array_equal(elements.TRI_DN, dn)
+    tables = (elements.TET_QP, elements.TET_W, elements.TET_DN, elements.TRI_QP,
+              elements.TRI_W, elements.TRI_N, elements.TRI_DN)
+    assert not any(t.flags.writeable for t in tables)

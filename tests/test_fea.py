@@ -1,7 +1,9 @@
 """Total-Lagrangian kernels: forces, tangents, pressure loads, solver."""
 
+import ast
 import logging
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +218,24 @@ def test_no_private_names_across_modules():
     assert not hits
 
 
+def test_package_imports_only_stdlib_numpy_and_scipy():
+    # the dependency rule: nothing beyond the standard library, numpy and scipy
+    allowed = set(sys.stdlib_module_names) | {"numpy", "scipy"}
+    src = Path(__file__).resolve().parent.parent / "src" / "pneusoft"
+    hits = []
+    for p in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            hits += [f"{p.name}:{node.lineno}: {name}" for name in names
+                     if name.split(".")[0] not in allowed]
+    assert not hits
+
+
 def test_reference_tangent_spectrum(small_cube):
     kt = fea.tangent_stiffness(
         small_cube, PARAMS, np.zeros((small_cube.n_nodes, 3))).toarray()
@@ -270,6 +290,10 @@ def test_load_case_validation():
         fea.LoadCase(target_pressure_kpa=-5.0)
     with pytest.raises(ValueError, match="increments"):
         fea.LoadCase(target_pressure_kpa=5.0, increments=0)
+    with pytest.raises(ValueError, match="increments"):
+        fea.LoadCase(target_pressure_kpa=5.0, increments=fea.MAX_INCREMENTS + 1)
+    assert fea.LoadCase(5.0, increments=fea.MAX_INCREMENTS).increments \
+        == fea.MAX_INCREMENTS
     for target in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite"):
             fea.LoadCase(target_pressure_kpa=target)

@@ -185,6 +185,10 @@ def test_load_ignores_comments_and_blanks(tmp_path):
      r"line 4: non-finite coordinate"),
     (lambda t: t.replace("1 1 0 0", "1 1 0"),
      r"line 4: node lines need"),
+    (lambda t: t.replace("1 1 0 0", "1 x 0 0"),
+     r"line 4: could not convert string to float: 'x'"),
+    (lambda t: t.replace("1 1 0 0", "one 1 0 0"),
+     r"line 4: invalid literal for int\(\) with base 10: 'one'"),
     (lambda t: t.replace("tet10 0", "tet10 1\n0 1 2 3 0 0 0 0 0 0"),
      r"line 7: node id 3 outside 0\.\.2"),
     (lambda t: t.replace("tet10 0", "tet10 1\n0 1 2 0 0 0 0 0 0"),
