@@ -6,6 +6,7 @@ unknown config keys, malformed files).
 """
 
 import argparse
+import dataclasses
 import logging
 import sys
 
@@ -28,30 +29,26 @@ def _add_config_args(parser):
                         help="override one config key (repeatable)")
 
 
+# each ActuatorSpec field but these two is a flag: strain_wall is --strain-wall
+_SPEC_FIELDS = tuple(f for f in dataclasses.fields(geometry.ActuatorSpec)
+                     if f.name not in ("kind", "symmetric_half"))
+
+
 def _add_spec_args(parser, kind_required=True):
     parser.add_argument("--kind", choices=geometry.KINDS,
                         required=kind_required, default=None)
-    parser.add_argument("--element-size", type=float, default=None,
-                        metavar="MM")
     parser.add_argument("--half", action="store_true",
                         help="mesh only x >= 0 of the mirror-symmetric "
                              "solid (adds the symx node set)")
-    for name in ("length", "width", "height", "wall", "strain-wall",
-                 "cap", "inlet-wall", "gap", "bellows-depth"):
-        parser.add_argument(f"--{name}", type=float, default=None,
-                            metavar="MM")
-    parser.add_argument("--chambers", type=int, default=None)
-    parser.add_argument("--bellows-count", type=int, default=None)
+    for f in _SPEC_FIELDS:
+        parser.add_argument("--" + f.name.replace("_", "-"), type=f.type,
+                            default=None, metavar="MM" if f.type is float else None)
 
 
 def _spec_from_args(args):
     return geometry.ActuatorSpec(
-        kind=args.kind, length=args.length, width=args.width,
-        height=args.height, wall=args.wall, strain_wall=args.strain_wall,
-        cap=args.cap, inlet_wall=args.inlet_wall, chambers=args.chambers,
-        gap=args.gap, bellows_count=args.bellows_count,
-        bellows_depth=args.bellows_depth, symmetric_half=args.half,
-        element_size=args.element_size)
+        kind=args.kind, symmetric_half=args.half,
+        **{f.name: getattr(args, f.name) for f in _SPEC_FIELDS})
 
 
 def _resolve_config(args):
@@ -99,14 +96,15 @@ def _supports(msh):
 
 def _cmd_solve(args):
     cfg = _resolve_config(args)
-    msh = _load_or_build_mesh(args)
     params = cfgmod.material_params(cfg)
-    fixed, extra = _supports(msh)
     increments = (cfg["solver.increments"] if args.increments is None
                   else args.increments)
+    # checked before meshing, which can take seconds; supports come after
     case = fea.LoadCase(target_pressure_kpa=args.pressure,
-                        increments=increments, fixed_set=fixed,
-                        extra_fixed=extra)
+                        increments=increments)
+    msh = _load_or_build_mesh(args)
+    fixed, extra = _supports(msh)
+    case = dataclasses.replace(case, fixed_set=fixed, extra_fixed=extra)
     try:
         sol = fea.solve(msh, params, case)
     except fea.SolveError as exc:
@@ -122,14 +120,14 @@ def _cmd_solve(args):
 
 def _cmd_calibrate(args):
     cfg = _resolve_config(args)
+    spec = geometry.ActuatorSpec(
+        kind="tube", length=args.length, width=args.width, wall=args.wall)
     rows = np.loadtxt(args.observations, delimiter=",", skiprows=1,
                       ndmin=2)
     if rows.shape[1] != 2:
         raise ValueError("observations need two columns "
                          "(pressure_kPa,expansion_mm)")
     pressures, expansions = rows[:, 0], rows[:, 1]
-    spec = geometry.ActuatorSpec(
-        kind="tube", length=args.length, width=args.width, wall=args.wall)
     rin = spec.width / 2.0 - spec.wall
 
     def forward(c10, pressure_kpa):
@@ -162,10 +160,9 @@ def _cmd_robot(args):
         loads = _floats(args.loads)
         table = robots.quadruped_speed_table(params, pressures, loads)
         _write_rows(args.out, "pressure_kPa,load_g,speed_mm_s", table)
-        p = 50.0 if args.pressure is None else args.pressure
-        m = 80.0 if args.load is None else args.load
-        ref = robots.quadruped_speed(params, p, m)
-        print(f"speed at {p:g} kPa under {m:g} g: {ref:.2f} mm/s")
+        ref = robots.quadruped_speed(params, args.pressure, args.load)
+        print(f"speed at {args.pressure:g} kPa under {args.load:g} g: "
+              f"{ref:.2f} mm/s")
     elif args.robot == "gripper":
         params = cfgmod.gripper_params(cfg)
         table = robots.gripper_pressure_table(params, _floats(args.masses),
@@ -287,10 +284,10 @@ def build_parser():
     p.add_argument("--out", metavar="CSV", default=None)
     p.add_argument("--sweep", metavar="START:STOP:STEP", default="0.2:1.6:0.1",
                    help="earthworm frequency grid in Hz (default %(default)s)")
-    p.add_argument("--pressure", type=float, default=None, metavar="KPA",
-                   help="quadruped point to report (default 50)")
-    p.add_argument("--load", type=float, default=None, metavar="G",
-                   help="quadruped load to report (default 80)")
+    p.add_argument("--pressure", type=float, default=50.0, metavar="KPA",
+                   help="quadruped point to report (default %(default)s)")
+    p.add_argument("--load", type=float, default=80.0, metavar="G",
+                   help="quadruped load to report (default %(default)s)")
     p.add_argument("--pressures", default="20,30,40,50",
                    metavar="KPA[,KPA...]")
     p.add_argument("--loads", default="0,40,80,120", metavar="G[,G...]")

@@ -36,9 +36,9 @@ from .elements import TET10_EDGES, TRI6_EDGES
 from .mesh import Mesh
 
 KINDS = ("linear", "bending1", "bending2", "cube", "pocket", "tube")
-# generate_mesh refuses specs estimated above this many nodes, which
-# would take about 0.5 GB to mesh and far more to solve (bending2 at
-# 1 mm has 215 k nodes)
+# generate_mesh refuses specs whose half-spaced grid, an upper bound on
+# the node count, has more points than this: about 0.5 GB to mesh and
+# far more to solve (bending2 at 1 mm has 215 k nodes)
 MAX_MESH_NODES = 1_000_000
 
 # six tets per cell, all sharing the (0,0,0)-(1,1,1) diagonal,
@@ -97,6 +97,10 @@ class ActuatorSpec:
     ``symmetric_half`` meshes only x >= 0 and adds a "symx" node set
     (box kinds are mirror-symmetric, so half models halve solve cost).
     ``element_size`` defaults to half the thinnest feature.
+
+    Every field is checked here, so a spec that exists is valid input
+    for the mesher, the closed forms and calibration; only the layout
+    checks that need the solid and cavity boxes are left to the mesher.
     """
 
     kind: str
@@ -124,6 +128,23 @@ class ActuatorSpec:
                 object.__setattr__(self, name, value)
         if self.element_size is None:
             object.__setattr__(self, "element_size", self.min_feature() / 2.0)
+        for name in ("length", "width", "height", "wall", "strain_wall",
+                     "cap", "inlet_wall", "element_size"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"spec.{name} must be positive and finite, got {v}")
+        for name in ("gap", "bellows_depth"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"spec.{name} must be non-negative and finite, got {v}")
+        if self.bellows_count < 0:
+            raise ValueError("bellows_count must be non-negative")
+        if self.kind in ("bending1", "bending2") and self.chambers < 1:
+            raise ValueError("bending kinds need at least one chamber")
+        if self.kind == "tube" and self.symmetric_half:
+            raise ValueError("symmetric_half applies to box kinds only")
+        if self.kind == "tube" and self.wall >= self.width / 2.0:
+            raise ValueError("tube wall thickness consumes the whole radius")
 
     def min_feature(self):
         """Thinnest geometric feature, the element-size yardstick."""
@@ -137,8 +158,6 @@ class ActuatorSpec:
 
     def chamber_pitch(self):
         """Length of one chamber plus one slot for the bending kinds."""
-        if self.chambers < 1:
-            raise ValueError(f"{self.kind!r} spec has no chambers")
         span = self.length - 2.0 * self.wall + self.gap
         return span / self.chambers
 
@@ -169,12 +188,29 @@ for _d in _KIND_DEFAULTS.values():
         _d.setdefault(_k, _v)
 
 
-def _axis_lines(breaks, h):
-    """Grid coordinates with every break on a line and spacing <= h."""
-    breaks = sorted(set(float(b) for b in breaks))
+def _refuse_over_cap(spec, points):
+    """Raise unless ``points``, the number of points of the half-spaced
+    grid or a lower bound on it, fits under MAX_MESH_NODES."""
+    if not points <= MAX_MESH_NODES:
+        raise ValueError(f"the {spec.kind} spec needs a grid of at least "
+                         f"{points:.6g} points, more than the {MAX_MESH_NODES} "
+                         "mesh nodes allowed; enlarge element_size or lower "
+                         "the bellows or chamber count")
+
+
+def _grid_steps(spec, breaks):
+    """Steps between consecutive sorted ``breaks``: every break on a grid
+    line and spacing <= element_size, so the axis has 1 + sum(steps)
+    lines and 2 * sum(steps) + 1 points of the half-spaced grid."""
+    ratios = [(b1 - b0) / spec.element_size for b0, b1 in zip(breaks, breaks[1:])]
+    _refuse_over_cap(spec, sum(ratios))            # before math.ceil(inf)
+    return [max(1, math.ceil(r - 1e-9)) for r in ratios]
+
+
+def _axis_lines(breaks, steps):
+    """Grid coordinates with ``steps`` equal steps between consecutive breaks."""
     pts = [breaks[0]]
-    for b0, b1 in zip(breaks, breaks[1:]):
-        n = max(1, math.ceil((b1 - b0) / h - 1e-9))
+    for b0, b1, n in zip(breaks, breaks[1:], steps):
         pts.extend(np.linspace(b0, b1, n + 1)[1:])
     return np.asarray(pts)
 
@@ -268,6 +304,10 @@ def _solid_cavity_boxes(spec):
                              f"extent; walls too thick for the cross-section")
         solid = [((-w2, w2), (-h2, h2), (0.0, L))]
         if spec.bellows_count > 0:
+            # each band adds two z lines to a grid at least 5 x 7 points
+            # across: refuse a count the grid cannot hold before one box
+            # per band is listed
+            _refuse_over_cap(spec, 64.0 * spec.bellows_count)
             ring = spec.bellows_depth
             nb = 2 * spec.bellows_count + 1
             bw = (cav[2][1] - cav[2][0]) / nb
@@ -285,6 +325,7 @@ def _solid_cavity_boxes(spec):
     if c <= 2.0 * w or H - w <= b or w2 <= w:
         raise ValueError(f"{spec.kind!r} spec leaves no room for chambers; "
                          f"reduce walls or enlarge the body")
+    _refuse_over_cap(spec, 64.0 * spec.chambers)   # as for the bellows bands
     solid = [((-w2, w2), (0.0, b), (0.0, L))]
     cavities = []
     for i in range(spec.chambers):
@@ -314,7 +355,9 @@ def _box_layout(spec):
 
 def _box_mesh(spec):
     solid_boxes, cavity_boxes, breaks = _box_layout(spec)
-    xs, ys, zs = (_axis_lines(br, spec.element_size) for br in breaks)
+    steps = [_grid_steps(spec, br) for br in breaks]
+    _refuse_over_cap(spec, math.prod(2 * sum(st) + 1 for st in steps))
+    xs, ys, zs = (_axis_lines(br, st) for br, st in zip(breaks, steps))
 
     cxg, cyg, czg = np.meshgrid(0.5 * (xs[:-1] + xs[1:]),
                                 0.5 * (ys[:-1] + ys[1:]),
@@ -350,12 +393,14 @@ def _box_mesh(spec):
 def _tube_mesh(spec):
     r_out = spec.width / 2.0
     r_in = r_out - spec.wall
-    if r_in <= 0:
-        raise ValueError("tube wall thickness consumes the whole radius")
-    es = spec.element_size
-    rs = _axis_lines([r_in, r_out], es)
-    zs = _axis_lines([0.0, spec.length], es)
-    n_theta = max(8, 4 * math.ceil(math.pi * (r_in + r_out) / (4.0 * es)))
+    breaks = ([r_in, r_out], [0.0, spec.length])
+    steps = [_grid_steps(spec, br) for br in breaks]
+    quarter = math.pi * (r_in + r_out) / (4.0 * spec.element_size)
+    _refuse_over_cap(spec, quarter)                # before math.ceil(inf)
+    n_theta = max(8, 4 * math.ceil(quarter))
+    # theta wraps: 2 * n_theta points of the half-spaced grid
+    _refuse_over_cap(spec, 2 * n_theta * math.prod(2 * sum(st) + 1 for st in steps))
+    rs, zs = (_axis_lines(br, st) for br, st in zip(breaks, steps))
     theta = np.arange(n_theta) * (2.0 * math.pi / n_theta)
 
     pts = np.empty((len(rs), n_theta, len(zs), 3))
@@ -381,57 +426,15 @@ def _tube_mesh(spec):
     return Mesh(nodes=nodes, tets=tets, node_sets=node_sets, face_sets=face_sets)
 
 
-def _estimated_nodes(spec):
-    """About 8 tet10 nodes per point of the structured grid of ``spec``,
-    counted without building it; inf for a vanishing element size."""
-    h = spec.element_size
-    if spec.kind == "tube":
-        r_out = spec.width / 2.0
-        r_in = r_out - spec.wall
-        axes = ([r_in, r_out], [0.0, spec.length])
-        points = max(8.0, math.pi * (r_in + r_out) / h)    # theta lines
-    else:
-        # >= 2 grid lines on x and y and per band or chamber on z: a bound without boxes
-        bands = spec.bellows_count if spec.kind in ("linear", "pocket") else spec.chambers
-        if 64.0 * bands > MAX_MESH_NODES:
-            return 64.0 * bands
-        axes = _box_layout(spec)[2]
-        points = 1.0
-    for br in axes:
-        points *= 1.0 + sum(max(1.0, (b1 - b0) / h)
-                            for b0, b1 in zip(br, br[1:]))
-    return 8.0 * points
-
-
 def generate_mesh(spec):
     """Structured quadratic-tet mesh for an ActuatorSpec.
 
     Deterministic: equal specs give byte-identical meshes.  Warns when
     ``element_size`` exceeds half the thinnest feature but still meshes.
-    Raises ValueError, before allocating anything, when the mesh would
-    have more than about ``MAX_MESH_NODES`` nodes.
+    Raises ValueError, before allocating the grid, when its half-spaced
+    grid, which holds every node, has more than ``MAX_MESH_NODES`` points.
     """
-    for name in ("length", "width", "height", "wall", "strain_wall",
-                 "cap", "inlet_wall", "element_size"):
-        v = getattr(spec, name)
-        if v is not None and not (math.isfinite(v) and v > 0):
-            raise ValueError(f"spec.{name} must be positive and finite, got {v}")
-    for name in ("gap", "bellows_depth"):
-        v = getattr(spec, name)
-        if not (math.isfinite(v) and v >= 0):
-            raise ValueError(f"spec.{name} must be non-negative and finite, got {v}")
-    if spec.bellows_count < 0:
-        raise ValueError("bellows_count must be non-negative")
-    if spec.kind in ("bending1", "bending2") and spec.chambers < 1:
-        raise ValueError("bending kinds need at least one chamber")
-    if spec.kind == "tube" and spec.symmetric_half:
-        raise ValueError("symmetric_half applies to box kinds only")
     _check_element_size(spec)
-    nodes = _estimated_nodes(spec)
-    if nodes > MAX_MESH_NODES:
-        raise ValueError(f"the {spec.kind} spec asks for about {nodes:.3g} mesh "
-                         f"nodes, more than the {MAX_MESH_NODES} allowed; enlarge "
-                         "element_size or lower the bellows or chamber count")
     if spec.kind == "tube":
         return _tube_mesh(spec)
     return _box_mesh(spec)

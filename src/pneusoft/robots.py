@@ -1,9 +1,12 @@
 """Reduced-order models of the three actuator-driven robots.
 
 Each model maps an actuation setting to a body-level outcome without
-running the full solver in the loop: the solver calibrates the few
-scalars the models need (stroke and bend-angle maps), and the
-pneumatic loop supplies the pressure swings.
+running the full solver in the loop, and the pneumatic loop supplies
+the pressure swings.  Only the quadruped bend table is copied from a
+solve (with a drift test against it); the earthworm's stroke map
+(``stroke_max_mm``, ``pressure_scale_kpa``), its ``force_gain_n_per_kpa``
+and the gripper's ``normal_gain_n_per_kpa`` are set by hand, with no
+solver path behind them yet.
 
 earthworm   one linear actuator between two anisotropic-friction legs,
             driven by duty-cycled fill/vent switching
@@ -116,8 +119,9 @@ def earthworm_frequency_sweep(params, frequencies_hz):
 # ------------------------------------------------------------- quadruped
 
 # Tip bend angle of the stock bending2 leg against held pressure,
-# sampled from the bundled solver model (see fixtures/calibration.cfg);
-# linear interpolation in between.
+# sampled from the 4 mm half-model solve that the acceptance test
+# test_quadruped_bend_table_matches_bending_solve repeats; linear
+# interpolation in between.
 QUADRUPED_BEND_TABLE_KPA = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
 QUADRUPED_BEND_TABLE_DEG = (0.0, 2.703, 5.332, 7.894, 10.397, 12.849, 15.257)
 

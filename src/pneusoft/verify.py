@@ -107,7 +107,7 @@ def check_gradient(cfg=None):
     t0 = time.perf_counter()
     mesh = geometry.generate_mesh(
         geometry.ActuatorSpec(kind="cube", element_size=0.5))
-    pm = _material(cfg)
+    pm = cfgmod.material_params(cfg or cfgmod.defaults())
     model = fea.Model(mesh)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -166,7 +166,7 @@ def check_patch(cfg=None):
     t0 = time.perf_counter()
     mesh = geometry.generate_mesh(
         geometry.ActuatorSpec(kind="cube", element_size=0.25))
-    pm = _material(cfg)
+    pm = cfgmod.material_params(cfg or cfgmod.defaults())
     grad = np.array([[0.03, 0.01, 0.0],
                      [0.0, -0.02, 0.015],
                      [0.005, 0.0, 0.025]])
@@ -255,7 +255,7 @@ def check_incompressibility(cfg=None):
     """The configured material keeps solid volume within 0.5 percent."""
     t0 = time.perf_counter()
     try:
-        pm = _material(cfg)
+        pm = cfgmod.material_params(cfg or cfgmod.defaults())
     except ValueError as exc:
         return _result("incompressibility", t0, False,
                        f"material rejected: {exc}")
@@ -297,12 +297,6 @@ def check_cylinder(cfg=None):
         f"2.5 mm tube: worst gap to the closed form {worst:.2%} over "
         f"{len(gaps)} increments from 5 kPa (tol 4%), {final:.2%} at "
         f"{sol.pressures_kpa[-1]:g} kPa (tol 3%)")
-
-
-def _material(cfg):
-    if cfg is None:
-        return mat.HyperelasticParams(c10=mat.DEFAULT_C10)
-    return cfgmod.material_params(cfg)
 
 
 QUICK_CHECKS = ("gradient", "patch", "closed-cavity", "valve-swing")

@@ -1,5 +1,7 @@
 """End-to-end command-line behaviour, exit codes and file outputs."""
 
+import argparse
+import dataclasses
 import os
 import subprocess
 import sys
@@ -85,14 +87,32 @@ def test_mesh_over_node_cap_exits_2(monkeypatch, capsys):
     assert "mesh nodes" in capsys.readouterr().err
 
 
+def test_mesh_spec_flags_are_the_spec_fields():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {a.option_strings[-1]: a for a in sub.choices["mesh"]._actions}
+    fields = {f.name: f.type for f in dataclasses.fields(geometry.ActuatorSpec)}
+    fields.pop("symmetric_half")
+    expected = {"--" + name.replace("_", "-") for name in fields} | {"--half"}
+    assert set(flags) - {"--help", "--out"} == expected
+    for name, typ in fields.items():
+        if name != "kind":
+            assert flags["--" + name.replace("_", "-")].type is typ
+
+
 @pytest.mark.parametrize("argv", [
     ["mesh", "--kind", "linear", "--bellows-count", "10000000"],
     ["mesh", "--kind", "bending1", "--chambers", "10000000", "--gap", "0",
      "--wall", "0.000001", "--element-size", "1"],
+    ["mesh", "--kind", "cube", "--element-size", "5e-324"],
+    ["mesh", "--kind", "tube", "--element-size", "5e-324"],
+    ["mesh", "--kind", "bending1", "--element-size", "1e-300"],
 ])
 def test_mesh_huge_band_counts_exit_2(capsys, argv):
-    # the node estimate is bounded from the count before one box per
-    # bellows band or chamber is listed
+    # a huge band count is refused before one box per bellows band or
+    # chamber is listed, and a vanishing element size before the step
+    # counts reach math.ceil, which overflows on inf
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "mesh nodes" in err
@@ -145,7 +165,11 @@ def test_solve_unknown_config_key_exits_2(capsys):
                                    ("--pressure", "inf"),
                                    ("--pressure", "10", "--increments", "0"),
                                    ("--pressure", "10", "--increments", "1000000000")])
-def test_solve_invalid_load_case_exits_2(tmp_path, capsys, extra):
+def test_solve_invalid_load_case_exits_2(tmp_path, capsys, monkeypatch, extra):
+    # the load case is refused before any mesh is built
+    def no_mesh(spec):
+        raise AssertionError("meshed before checking the load case")
+    monkeypatch.setattr(geometry, "generate_mesh", no_mesh)
     out = tmp_path / "s.csv"
     rc = cli.main(["solve", "--kind", "pocket", "--element-size", "2.5",
                    "--out", str(out), *extra])
@@ -226,6 +250,18 @@ def test_calibrate_malformed_observations_exit_2(tmp_path, capsys):
     assert "two columns" in capsys.readouterr().err
     rc = cli.main(["calibrate", "--observations", str(tmp_path / "no.csv")])
     assert rc == 2
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("wall", ["20", "nan"])
+def test_calibrate_impossible_tube_exits_2(tmp_path, capsys, wall):
+    obs = tmp_path / "obs.csv"
+    obs.write_text("pressure_kPa,expansion_mm\n10,0.5\n20,1.1\n")
+    rc = cli.main(["calibrate", "--observations", str(obs), "--wall", wall])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "wall" in err
+    assert "Traceback" not in err
 
 
 def test_robot_earthworm_sweep(tmp_path, capsys):

@@ -37,6 +37,7 @@ def test_chamber_pitch():
 
 
 def test_generate_rejects_bad_dimensions():
+    # the spec checks its fields when it is built, before any consumer
     cases = [
         (dict(kind="linear", wall=0.0), "wall"),
         (dict(kind="linear", length=-5.0), "length"),
@@ -51,9 +52,8 @@ def test_generate_rejects_bad_dimensions():
         (dict(kind="linear", bellows_depth=math.inf), "bellows_depth"),
     ]
     for kwargs, match in cases:
-        spec = geometry.ActuatorSpec(**kwargs)
         with pytest.raises(ValueError, match=match):
-            geometry.generate_mesh(spec)
+            geometry.ActuatorSpec(**kwargs)
 
 
 def test_generate_rejects_walls_thicker_than_body():
@@ -66,9 +66,8 @@ def test_generate_rejects_walls_thicker_than_body():
 
 
 def test_tube_has_no_half_model():
-    spec = geometry.ActuatorSpec(kind="tube", symmetric_half=True)
     with pytest.raises(ValueError, match="half"):
-        geometry.generate_mesh(spec)
+        geometry.ActuatorSpec(kind="tube", symmetric_half=True)
 
 
 def test_coarse_element_size_warns():
@@ -134,17 +133,24 @@ def test_bending2_fine_mesh_is_valid():
 
 
 @pytest.mark.parametrize("kind, size, half", [("pocket", 2.0, False),
+                                              ("pocket", 1.95, True),
                                               ("bending2", 8.0, True),
                                               ("tube", 2.5, False)])
 def test_node_cap_refuses_oversized_specs(kind, size, half, monkeypatch):
-    # the estimate lies within a factor of two of the real node count,
-    # so a cap at twice the count meshes and one at half of it refuses
-    n = coarse_mesh(kind, size, symmetric_half=half).n_nodes
-    monkeypatch.setattr(geometry, "MAX_MESH_NODES", 2 * n)
-    assert coarse_mesh(kind, size, symmetric_half=half).n_nodes == n
-    monkeypatch.setattr(geometry, "MAX_MESH_NODES", n // 2)
-    with pytest.raises(ValueError, match="about .* mesh nodes"):
-        coarse_mesh(kind, size, symmetric_half=half)
+    # the cap bounds the half-spaced grid the mesher allocates, which
+    # holds every node: a cap at its size meshes, and one point less
+    # refuses, as does any cap below the node count (2405 for the half
+    # pocket at 1.95 mm).  A box kind's half-grid coordinates on each
+    # axis are those of its nodes; the tube's nodes fill its grid.
+    m = coarse_mesh(kind, size, symmetric_half=half)
+    grid = m.n_nodes if kind == "tube" else math.prod(
+        len(np.unique(m.nodes[:, ax])) for ax in range(3))
+    monkeypatch.setattr(geometry, "MAX_MESH_NODES", grid)
+    assert coarse_mesh(kind, size, symmetric_half=half).n_nodes == m.n_nodes
+    for cap in (grid - 1, m.n_nodes - 1):
+        monkeypatch.setattr(geometry, "MAX_MESH_NODES", cap)
+        with pytest.raises(ValueError, match=f"the {kind} spec .* mesh nodes"):
+            coarse_mesh(kind, size, symmetric_half=half)
 
 
 def test_generation_is_deterministic(tmp_path):
