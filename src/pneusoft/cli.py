@@ -120,8 +120,7 @@ def _cmd_solve(args):
 
 def _cmd_calibrate(args):
     cfg = _resolve_config(args)
-    spec = geometry.ActuatorSpec(
-        kind="tube", length=args.length, width=args.width, wall=args.wall)
+    spec = geometry.ActuatorSpec(kind="tube", width=args.width, wall=args.wall)
     rows = np.loadtxt(args.observations, delimiter=",", skiprows=1,
                       ndmin=2)
     if rows.shape[1] != 2:
@@ -272,7 +271,6 @@ def build_parser():
                        help="fit c10 to tube inflation measurements")
     p.add_argument("--observations", metavar="CSV", required=True,
                    help="columns pressure_kPa,expansion_mm")
-    p.add_argument("--length", type=float, default=None, metavar="MM")
     p.add_argument("--width", type=float, default=None, metavar="MM")
     p.add_argument("--wall", type=float, default=None, metavar="MM")
     _add_config_args(p)

@@ -95,4 +95,9 @@ def tri6_tangents(xf):
     coordinates ``xf`` (K, 6, 3) at the ``tri_quadrature`` points, and
     their cross products, the area vectors (K, q, 3)."""
     t = np.einsum("fam,qad->fqmd", xf, TRI_DN)
-    return t, np.cross(t[..., 0], t[..., 1])
+    (a0, b0), (a1, b1), (a2, b2) = np.moveaxis(t, (-2, -1), (0, 1))
+    nvec = np.empty(t.shape[:-1])
+    nvec[..., 0] = a1 * b2 - a2 * b1
+    nvec[..., 1] = a2 * b0 - a0 * b2
+    nvec[..., 2] = a0 * b1 - a1 * b0
+    return t, nvec

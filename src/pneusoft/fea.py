@@ -19,10 +19,12 @@ passing the next station.
 One ``Model`` per solve owns the discretization, including the free-DOF
 numbering and one sparsity pattern on it: the sorted keys column * n +
 row of the free DOF pairs that share a tet, its CSC entries in order.
-The element tangents and the cavity face load stiffness are each summed
-into that CSC data with one scatter that drops the constrained DOFs, so
-they are the free-DOF block Newton factors and no sparse structure is
-built or sliced per iteration.
+The element tangents and the cavity face load stiffness are summed into
+that CSC data by one scatter, ``Model._matrix``, which drops the
+constrained DOFs, so they are the free-DOF block Newton factors and no
+sparse structure is built or sliced per iteration.  The element tangents
+reach it ``_BLOCK`` tets at a time, so the kernel's temporaries scale
+with the block and not with the mesh.
 
 SuperLU factors that block with the minimum-degree ordering of A^T + A,
 symmetric mode, no pivoting and no relaxed supernodes, which suits the
@@ -133,8 +135,15 @@ class Solution:
 # ---------------------------------------------------------------- kernels
 
 _AX3 = np.arange(3)
+# tets per block of the element tangent kernel; 32-128 time alike
+_BLOCK = 64
 _TRI_WN = TRI_W[:, None] * TRI_N                           # (q, 6)
 _TRI_DN_PERP = np.stack([TRI_DN[..., 1], -TRI_DN[..., 0]], axis=-1)  # (q, 6, 2)
+# eps_ijm laid out [j, (i, m)]
+_LEVI_CIVITA = np.zeros((3, 3, 3))
+for _i, _j, _m in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+    _LEVI_CIVITA[_j, _i, _m], _LEVI_CIVITA[_m, _i, _j] = 1.0, -1.0
+_LEVI_CIVITA = _LEVI_CIVITA.reshape(3, 9)
 
 
 class Model:
@@ -152,7 +161,9 @@ class Model:
     CSC structure (``indptr``, ``indices``) on the numbered DOF pairs
     that share a tet, ``tet_pos``, the position in its data of every
     entry of the element matrices laid out (M, (a, i), (b, k)), and the
-    face-set data.
+    face-set data.  ``_matrix`` is the one scatter of both stiffness
+    layers: it adds the element matrices, block by block, into those
+    positions.
     """
 
     def __init__(self, mesh, free=None):
@@ -236,11 +247,20 @@ class Model:
             self._face_pos[name] = pos
         return self._face_pos[name]
 
-    def _matrix(self, pos, values):
-        """The (n_dof, n_dof) CSC matrix of ``values`` summed into ``pos``,
-        dropping those at position nnz (on a constrained DOF)."""
+    def _matrix(self, pos, blocks):
+        """The (n_dof, n_dof) CSC matrix of the element matrices that
+        ``blocks`` yields in element order, each entry summed into its
+        position ``pos`` by ``np.add.at``; entries at position nnz (on a
+        constrained DOF) are dropped.  The adds run in element order
+        whatever the block sizes, so equal element matrices give bitwise
+        equal data."""
         nnz = len(self.indices)
-        data = np.bincount(pos, weights=values.ravel(), minlength=nnz + 1)
+        data = np.zeros(nnz + 1)
+        start = 0
+        for values in blocks:
+            stop = start + values.size
+            np.add.at(data, pos[start:stop], values.ravel())
+            start = stop
         return sparse.csc_matrix((data[:nnz], self.indices, self.indptr),
                                  shape=(self.n_dof, self.n_dof))
 
@@ -278,36 +298,48 @@ def tangent_stiffness(mesh, params, u, *, model=None):
 
         K[a i, b k] = sum_q w [ a g_ai g_bk - b (h_ai g_bk + g_ai h_bk)
                                 + c/2 g_bi g_ak
-                                + d_ik dN_a/dX . (c/2 C^-1 + S) . dN_b/dX ],
+                                + d_ik dN_a/dX . (c/2 C^-1 + S) . dN_b/dX ].
 
-    each term a batched matrix product over all elements with the
-    quadrature points as the inner dimension.  They are summed into the
-    model's fixed sparsity pattern with one scatter, so the matrix always
-    has the same structure.
+    The material is evaluated once at every quadrature point.  The
+    element matrices are then built ``_BLOCK`` tets at a time, each term
+    a batched matrix product over the block with the quadrature points
+    as the inner dimension, and each block is scattered into the model's
+    fixed sparsity pattern before the next is built, so no temporary
+    holds the 900 entries of every element and the matrix always has
+    the same structure.
     """
     model = model or Model(mesh)
     f = model.def_grad(u)
     s, cinv, (ma, mb, mc) = mat.lagrangian_tangent(params, f)
-    n_e, n_q = model.detjw.shape
+    n_q = model.detjw.shape[1]
     ft = f.swapaxes(-1, -2)
-    g = model.dndx @ (cinv @ ft)                           # [q, a, i]
-    h = model.dndx @ ft
+    wa, wb, wc = ((model.detjw * m)[..., None, None] for m in (ma, mb, 0.5 * mc))
+    sc = s + (0.5 * mc)[..., None, None] * cinv
 
     def rows(x):                                           # [(a, i), q]
-        return x.transpose(0, 2, 3, 1).reshape(n_e, 30, -1)
+        return x.transpose(0, 2, 3, 1).reshape(len(x), 30, -1)
 
-    wa, wb, wc = ((model.detjw * m)[..., None, None] for m in (ma, mb, 0.5 * mc))
-    ke = rows(np.concatenate([wa * g - wb * h, -wb * g], axis=1)) @ \
-        np.concatenate([g, h], axis=1).reshape(n_e, 2 * n_q, 30)
-    ke5 = ke.reshape(n_e, 10, 3, 10, 3)
-    # the c/2 g_bi g_ak term comes out as [(a, k), (b, i)]
-    ke5 += (rows(wc * g) @ g.reshape(n_e, n_q, 30)).reshape(
-        n_e, 10, 3, 10, 3).transpose(0, 1, 4, 3, 2)
-    sc = s + (0.5 * mc)[..., None, None] * cinv
-    kg = model.wdndx @ (sc @ model.dndx.swapaxes(-1, -2)).reshape(n_e, 3 * n_q, 10)
-    for i in range(3):
-        ke5[:, :, i, :, i] += kg
-    return model._matrix(model.tet_pos, ke)
+    def blocks():
+        for lo in range(0, len(f), _BLOCK):
+            e = slice(lo, lo + _BLOCK)
+            dndx = model.dndx[e]
+            g = dndx @ (cinv[e] @ ft[e])                   # [q, a, i]
+            h = dndx @ ft[e]
+            n_e = len(g)
+            ke = rows(np.concatenate([wa[e] * g - wb[e] * h, -wb[e] * g],
+                                     axis=1)) @ \
+                np.concatenate([g, h], axis=1).reshape(n_e, 2 * n_q, 30)
+            ke5 = ke.reshape(n_e, 10, 3, 10, 3)
+            # the c/2 g_bi g_ak term comes out as [(a, k), (b, i)]
+            ke5 += (rows(wc[e] * g) @ g.reshape(n_e, n_q, 30)).reshape(
+                n_e, 10, 3, 10, 3).transpose(0, 1, 4, 3, 2)
+            kg = model.wdndx[e] @ (sc[e] @ dndx.swapaxes(-1, -2)).reshape(
+                n_e, 3 * n_q, 10)
+            for i in range(3):
+                ke5[:, :, i, :, i] += kg
+            yield ke
+
+    return model._matrix(model.tet_pos, blocks())
 
 
 def _deformed_tangents(model, face_set, u):
@@ -334,15 +366,17 @@ def pressure_stiffness(mesh, pressure_kpa, u, face_set="cavity", *,
     """Sparse d f_pressure / d u on the model's DOFs and the pattern of
     ``tangent_stiffness``; the load stiffness is unsymmetric.  With n =
     t0 x t1, dn = sum_b v_b x du_b for v_b = dN_b/deta t0 - dN_b/dxi t1,
-    so K[a i, b m] = -p (V_ab x e_m)_i with V_ab = sum_q w N_a v_b.
+    so K[a i, b m] = -p (V_ab x e_m)_i = -p eps_ijm V_ab,j with
+    V_ab = sum_q w N_a v_b.
     """
     model = model or Model(mesh)
     _, t, _ = _deformed_tangents(model, face_set, u)
     p = KPA_TO_MPA * pressure_kpa
     vab = np.einsum("qa,qbd,fqkd->fabk", _TRI_WN, _TRI_DN_PERP, t, optimize=True)
-    # np.cross(V, e_m)_i sits at [f, a, b, m, i]
-    ke = -p * np.cross(vab[..., None, :], _EYE).transpose(0, 1, 4, 2, 3)
-    return model._matrix(model.face_pos(face_set), ke)
+    # -p eps_ijm V_j sits at [f, a, b, (i, m)]
+    ke = (vab.reshape(-1, 3) @ (-p * _LEVI_CIVITA)).reshape(
+        len(t), 6, 6, 3, 3).transpose(0, 1, 3, 2, 4)
+    return model._matrix(model.face_pos(face_set), (ke,))
 
 
 # ----------------------------------------------------------------- solver

@@ -429,12 +429,12 @@ def _tube_mesh(spec):
 def generate_mesh(spec):
     """Structured quadratic-tet mesh for an ActuatorSpec.
 
-    Deterministic: equal specs give byte-identical meshes.  Warns when
-    ``element_size`` exceeds half the thinnest feature but still meshes.
-    Raises ValueError, before allocating the grid, when its half-spaced
-    grid, which holds every node, has more than ``MAX_MESH_NODES`` points.
+    Deterministic: equal specs give byte-identical meshes.  Raises
+    ValueError, before allocating the grid, when its half-spaced grid,
+    which holds every node, has more than ``MAX_MESH_NODES`` points.
+    Warns, once the mesh is built, when ``element_size`` exceeds half the
+    thinnest feature, so a refused spec gets no warning.
     """
+    mesh = _tube_mesh(spec) if spec.kind == "tube" else _box_mesh(spec)
     _check_element_size(spec)
-    if spec.kind == "tube":
-        return _tube_mesh(spec)
-    return _box_mesh(spec)
+    return mesh

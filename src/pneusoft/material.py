@@ -80,19 +80,36 @@ def _kinematics(f):
     is (..., 3, 3), InvalidDeformation unless J > 0.
 
     J is the cofactor expansion of det F along its first row, and C^-1
-    the cofactor matrix of the symmetric C over det C = J^2.
+    the cofactor matrix of the symmetric C over det C = J^2, all written
+    out on the nine component arrays of F.
     """
     f = np.asarray(f, dtype=float)
     if f.shape[-2:] != (3, 3):
         raise ValueError(f"deformation gradient must be (..., 3, 3), got {f.shape}")
-    j = np.einsum("...i,...i->...", f[..., 0, :],
-                  np.cross(f[..., 1, :], f[..., 2, :]))
+    # one contiguous (9, n) copy, so that every component is a flat array
+    f00, f01, f02, f10, f11, f12, f20, f21, f22 = \
+        f.reshape(-1, 9).T.copy().reshape((9,) + f.shape[:-2])
+    # pairing the terms as (0 + 2) + 1, as numpy's einsum sums a row of
+    # three, gives det F bit for bit as einsum(f0, cross(f1, f2)) does
+    j = (f00 * (f11 * f22 - f12 * f21) + f02 * (f10 * f21 - f11 * f20)
+         + f01 * (f12 * f20 - f10 * f22))
     if np.any(j <= 0.0):
         raise InvalidDeformation(f"det F must be positive, min is {np.min(j):.3g}")
-    c = np.einsum("...ki,...kj->...ij", f, f)
-    # row i of the cofactor matrix is row i+1 x row i+2
-    cof = np.cross(c[..., [1, 2, 0], :], c[..., [2, 0, 1], :])
-    return j, cof / (j * j)[..., None, None], np.einsum("...ii->...", c)
+    c00 = f00 * f00 + f10 * f10 + f20 * f20
+    c11 = f01 * f01 + f11 * f11 + f21 * f21
+    c22 = f02 * f02 + f12 * f12 + f22 * f22
+    c01 = f00 * f01 + f10 * f11 + f20 * f21
+    c02 = f00 * f02 + f10 * f12 + f20 * f22
+    c12 = f01 * f02 + f11 * f12 + f21 * f22
+    jj = j * j
+    cinv = np.empty(f.shape)
+    cinv[..., 0, 0] = (c11 * c22 - c12 * c12) / jj
+    cinv[..., 1, 1] = (c00 * c22 - c02 * c02) / jj
+    cinv[..., 2, 2] = (c00 * c11 - c01 * c01) / jj
+    cinv[..., 0, 1] = cinv[..., 1, 0] = (c02 * c12 - c01 * c22) / jj
+    cinv[..., 0, 2] = cinv[..., 2, 0] = (c01 * c12 - c02 * c11) / jj
+    cinv[..., 1, 2] = cinv[..., 2, 1] = (c01 * c02 - c00 * c12) / jj
+    return j, cinv, c00 + c11 + c22
 
 
 def _pk2(params, j, cinv, i1):

@@ -264,6 +264,16 @@ def test_calibrate_impossible_tube_exits_2(tmp_path, capsys, wall):
     assert "Traceback" not in err
 
 
+def test_calibrate_has_no_length_flag(tmp_path, capsys):
+    # the plane-strain closed form reads only the width and the wall
+    obs = tmp_path / "obs.csv"
+    obs.write_text("pressure_kPa,expansion_mm\n10,0.5\n20,1.1\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["calibrate", "--observations", str(obs), "--length", "2"])
+    assert exc.value.code == 2
+    assert "--length" in capsys.readouterr().err
+
+
 def test_robot_earthworm_sweep(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     rc = cli.main(["robot", "earthworm", "--sweep", "0.2:1.6:0.1",

@@ -4,6 +4,7 @@ import ast
 import logging
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,36 @@ def test_tangent_matches_elementwise_reference(name, request):
     coo = kt.tocoo()
     diff[coo.row, coo.col] -= coo.data          # each position stored once
     assert np.max(np.abs(diff)) < 1e-12 * scale
+
+
+def test_tangent_blocks_assemble_bitwise_equal(pocket_coarse, monkeypatch):
+    # the adds into each entry run in element order whatever the block
+    # size, so one tet per block, a ragged last block and one block for
+    # the whole mesh give the same bits
+    model = fea.Model(pocket_coarse)
+    u = _random_displacement(pocket_coarse, 11)
+    want = fea.tangent_stiffness(pocket_coarse, PARAMS, u, model=model).data
+    for block in (1, 7, 64, len(pocket_coarse.tets) + 1):
+        monkeypatch.setattr(fea, "_BLOCK", block)
+        got = fea.tangent_stiffness(pocket_coarse, PARAMS, u, model=model)
+        assert np.array_equal(got.data, want), block
+
+
+def test_tangent_holds_no_array_per_element_matrix_entry():
+    # with the pattern built, one tangent call peaks below a single
+    # float64 array of the 900 entries of every element matrix
+    mesh = coarse_mesh("tube", 1.5)
+    assert len(mesh.tets) >= 1000
+    model = fea.Model(mesh)
+    model.tet_pos, model.indptr                     # build the pattern
+    u = _random_displacement(mesh, 2, scale=0.01)
+    tracemalloc.start()
+    try:
+        fea.tangent_stiffness(mesh, PARAMS, u, model=model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 900 * 8 * len(mesh.tets)
 
 
 class _Stop(Exception):

@@ -1,6 +1,7 @@
 """Parametric actuator meshing: archetypes, sets, validation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,18 @@ def test_coarse_element_size_warns():
     spec = geometry.ActuatorSpec(kind="pocket", element_size=2.5)
     with pytest.warns(UserWarning, match="exceeds half"):
         geometry.generate_mesh(spec)
+
+
+def test_refused_spec_warns_nothing_first():
+    # the node cap is checked before the element size is judged, so a
+    # refused spec does not first announce a coarse mesh
+    spec = geometry.ActuatorSpec(kind="bending1", chambers=10_000_000,
+                                 gap=0.0, wall=1e-6, element_size=1.0)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="mesh nodes"):
+            geometry.generate_mesh(spec)
+    assert not [w for w in seen if issubclass(w.category, UserWarning)]
 
 
 def test_default_element_size_is_half_min_feature():

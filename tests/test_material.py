@@ -1,5 +1,7 @@
 """Nearly incompressible neo-Hookean material model and calibration."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -54,6 +56,28 @@ def test_constitutive_input_validation(func):
     # a 4 x 3 "gradient" is not a stack of 3 x 3 ones
     with pytest.raises(ValueError, match=r"\(\.\.\., 3, 3\)"):
         func(PARAMS, np.vstack([np.eye(3), [[0.1, 0.2, 0.3]]]))
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (5, 4)], ids=str)
+def test_kinematics_match_linear_algebra(shape):
+    # J, C^-1 and I1, written out on the components of F, agree with
+    # LAPACK on every stack shape the kernels pass: C^-1 as returned by
+    # the tangent, J and I1 through the energy at two penalty ratios
+    n = math.prod(shape)
+    fs = _random_gradients(n, seed=20 + n).reshape(shape + (3, 3))
+    c = fs.swapaxes(-1, -2) @ fs
+    want = np.linalg.inv(c)
+    cinv = material.lagrangian_tangent(PARAMS, fs)[1]
+    assert cinv.shape == fs.shape
+    assert np.all(np.abs(cinv - want).max(axis=(-2, -1))
+                  <= 1e-13 * np.abs(want).max(axis=(-2, -1)))
+    j, i1 = np.linalg.det(fs), np.trace(c, axis1=-2, axis2=-1)
+    for params in (PARAMS, material.HyperelasticParams(c10=0.24, kappa=24.0)):
+        w = material.strain_energy(params, fs)
+        ref = (params.c10 * (j ** (-2.0 / 3.0) * i1 - 3.0)
+               + 0.5 * params.kappa * (j - 1.0) ** 2)
+        assert np.shape(w) == shape
+        assert np.all(np.abs(w - ref) <= 1e-13 * ref)
 
 
 def test_energy_reference_and_simple_states():
