@@ -79,7 +79,10 @@ TET_QP, TET_W = tet_quadrature()                   # (q, 3), (q,)
 _, TET_DN = p2_basis(TET_QP, TET10_EDGES)          # (q, 10, 3)
 TRI_QP, TRI_W = tri_quadrature()                   # (q, 2), (q,)
 TRI_N, TRI_DN = p2_basis(TRI_QP, TRI6_EDGES)       # (q, 6), (q, 6, 2)
-for _table in (TET_QP, TET_W, TET_DN, TRI_QP, TRI_W, TRI_N, TRI_DN):
+# TRI_DN laid out [a, (q, d)], so the face tangents are one matmul
+_TRI_DN_COLS = TRI_DN.transpose(1, 0, 2).reshape(TRI_DN.shape[1], -1)
+for _table in (TET_QP, TET_W, TET_DN, TRI_QP, TRI_W, TRI_N, TRI_DN,
+               _TRI_DN_COLS):
     _table.flags.writeable = False
 
 
@@ -94,7 +97,8 @@ def tri6_tangents(xf):
     """Tangents dX/d(xi, eta) (K, q, 3, 2) of TRI6 faces with node
     coordinates ``xf`` (K, 6, 3) at the ``tri_quadrature`` points, and
     their cross products, the area vectors (K, q, 3)."""
-    t = np.einsum("fam,qad->fqmd", xf, TRI_DN)
+    t = (xf.swapaxes(1, 2) @ _TRI_DN_COLS).reshape(
+        len(xf), 3, len(TRI_W), 2).swapaxes(1, 2)
     (a0, b0), (a1, b1), (a2, b2) = np.moveaxis(t, (-2, -1), (0, 1))
     nvec = np.empty(t.shape[:-1])
     nvec[..., 0] = a1 * b2 - a2 * b1

@@ -26,12 +26,15 @@ sparse structure is built or sliced per iteration.  The element tangents
 reach it ``_BLOCK`` tets at a time, so the kernel's temporaries scale
 with the block and not with the mesh.
 
-SuperLU factors that block with the minimum-degree ordering of A^T + A,
-symmetric mode, no pivoting and no relaxed supernodes, which suits the
-nearly symmetric tangents of closed cavities (43-55 % less L+U fill than
-COLAMD on the pocket and bending tangents).  The tangent is unsymmetric
-in general and can turn indefinite near an instability, so each solve
-with that factor is checked: when SuperLU rejects the matrix or the
+The solve's Model numbers its free DOFs in fill order: the minimum-degree
+ordering of A^T + A, which depends on the sparsity pattern alone, is
+computed once when the pattern is built, so every tangent is assembled
+already ordered and SuperLU factors it as it comes, in symmetric mode
+with no pivoting and no relaxed supernodes.  That suits the nearly
+symmetric tangents of closed cavities (43-55 % less L+U fill than COLAMD
+on the pocket and bending tangents).  The tangent is unsymmetric in
+general and can turn indefinite near an instability, so each solve with
+that factor is checked: when SuperLU rejects the matrix or the
 back-solve's normwise backward error exceeds ``_BACKWARD_TOL``, the block
 is refactored with COLAMD and partial pivoting.  Each increment record of
 a Solution counts its factorizations and these fallbacks.
@@ -47,7 +50,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import spilu, splu
 
 from . import material as mat
 from .elements import TET_DN, TET_W, TRI_DN, TRI_N, TRI_W, tet10_jacobian, tri6_tangents
@@ -63,11 +66,16 @@ DIVERGENCE_FACTOR = 1e6
 # the most load stations a LoadCase allows; the Solution keeps one
 # displacement array per station (criterion 9 uses 60)
 MAX_INCREMENTS = 1000
-# the fast factorization of the free-DOF tangent (relax=1: no relaxed
-# supernodes, which would store explicit zeros), and the normwise backward
-# error of a back-solve above which the COLAMD/partial-pivoting fallback runs
-_FAST_LU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1,
+# the fast factorization of the free-DOF tangent, whose DOFs the Model
+# numbers in fill order (relax=1: no relaxed supernodes, which would store
+# explicit zeros); the incomplete factor that yields that order, SuperLU's
+# minimum degree on A^T + A, dropping every off-diagonal entry; and the
+# normwise backward error of a back-solve above which the COLAMD/partial-
+# pivoting fallback runs
+_FAST_LU = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=1,
                 options=dict(SymmetricMode=True))
+_FILL_ORDER = dict(_FAST_LU, permc_spec="MMD_AT_PLUS_A", drop_tol=1.0,
+                   fill_factor=1.0)
 _BACKWARD_TOL = 1e-12
 # an accepted state's last Newton correction is at most this times ||u||;
 # a chord correction (reused factor) that does not shrink below this
@@ -135,7 +143,8 @@ class Solution:
 # ---------------------------------------------------------------- kernels
 
 _AX3 = np.arange(3)
-# tets per block of the element tangent kernel; 32-128 time alike
+# tets per block of the element tangent kernel (32-128 time alike) and
+# of the search for its scatter positions
 _BLOCK = 64
 _TRI_WN = TRI_W[:, None] * TRI_N                           # (q, 6)
 _TRI_DN_PERP = np.stack([TRI_DN[..., 1], -TRI_DN[..., 0]], axis=-1)  # (q, 6, 2)
@@ -150,18 +159,25 @@ class Model:
     """The discretization of one mesh, passed to the layer functions as
     ``model=``; without it they build their own.
 
-    ``free`` (3N,) marks the DOFs the model numbers (all when None):
-    ``number`` gives each its position among them, and -1 to the others.
-    The stiffness matrices are (n_dof, n_dof) on those DOFs.
+    ``free`` (3N,) marks the DOFs the model numbers (all when None).
+    The stiffness matrices are (n_dof, n_dof) on those DOFs, in model
+    order: ``dofs`` holds the index 3 * node + axis of each, and
+    ``number`` gives each DOF its position in ``dofs``, -1 to the others.
+    ``Model(mesh)`` keeps node order, so its matrices line up with
+    node-ordered (3N,) vectors.  With a mask the order is the fill order
+    of SuperLU's minimum degree on A^T + A, which the solver's factors
+    then take as it comes; it is read off an incomplete factor of a
+    diagonally dominant matrix on the node-ordered pattern, once.
 
     Construction computes the reference tet data at the quadrature
     points: ``dndx`` = dN_a/dX (M, q, 10, 3), ``detjw`` = w det J (M, q)
     and ``wdndx`` = w dN_a/dX_K laid out (M, a, (q, K)).  The rest is
     built on first use, so force and energy calls need only those: the
-    CSC structure (``indptr``, ``indices``) on the numbered DOF pairs
-    that share a tet, ``tet_pos``, the position in its data of every
-    entry of the element matrices laid out (M, (a, i), (b, k)), and the
-    face-set data.  ``_matrix`` is the one scatter of both stiffness
+    order, the CSC structure (``indptr``, ``indices``) on the numbered
+    DOF pairs that share a tet, ``tet_pos``, the position in its data of
+    every entry of the element matrices laid out (M, (a, i), (b, k)),
+    and the face-set data; positions are stored in the integer type of
+    ``indices``.  ``_matrix`` is the one scatter of both stiffness
     layers: it adds the element matrices, block by block, into those
     positions.
     """
@@ -180,42 +196,77 @@ class Model:
         self.wdndx = (self.dndx * self.detjw[..., None, None]).transpose(
             0, 2, 1, 3).reshape(len(mesh.tets), 10, 3 * len(TET_W))
         self.free = np.ones(3 * mesh.n_nodes, bool) if free is None else free
-        self.number = np.where(self.free, np.cumsum(self.free) - 1, -1)
         self.n_dof = int(np.count_nonzero(self.free))
+        self._fill_order = free is not None
         self._faces = {}
         self._face_pos = {}
 
-    def _dof_keys(self, conn):
-        """Keys column * n_dof + row of the DOF pairs of the elements on
-        nodes ``conn`` (K, m), laid out (K, (a, i), (b, k)); a pair with a
-        constrained DOF gets n_dof**2, past every stored entry."""
+    @cached_property
+    def _pattern(self):
+        """(dofs, keys): the model DOFs in model order and the sorted
+        distinct keys of the DOF pairs that share a tet under that order,
+        the stored entries in CSC order.  An in-place sort and a search
+        hold less memory than np.unique's inverse, and the keys are
+        renumbered into the fill order in place for the same reason."""
+        dofs = np.flatnonzero(self.free)
         n = self.n_dof
-        dof = self.number[3 * conn[..., None] + _AX3].reshape(len(conn), -1)
+        number = np.where(self.free, np.cumsum(self.free) - 1, -1)
+        keys = self._dof_keys(self.mesh.tets, number).ravel()
+        keys.sort()
+        keys = keys[np.append(True, keys[1:] != keys[:-1])]
+        keys = keys[:np.searchsorted(keys, n * n)]
+        if self._fill_order:
+            rank = _fill_rank(keys, n)
+            dofs = dofs[np.argsort(rank)]
+            row = rank[keys % n]
+            keys //= n
+            keys = rank[keys]
+            keys *= n
+            keys += row
+            keys.sort()
+        return dofs, keys
+
+    @property
+    def dofs(self):
+        """The index 3 * node + axis of each model DOF, in model order."""
+        return self._pattern[0]
+
+    @cached_property
+    def number(self):
+        number = np.full(self.free.shape, -1)
+        number[self.dofs] = np.arange(self.n_dof)
+        return number
+
+    def _dof_keys(self, conn, number):
+        """Keys column * n_dof + row of the DOF pairs of the elements on
+        nodes ``conn`` (K, m) under the numbering ``number``, laid out
+        (K, (a, i), (b, k)); a pair with a DOF numbered -1 gets n_dof**2,
+        past every stored entry."""
+        n = self.n_dof
+        dof = number[3 * conn[..., None] + _AX3].reshape(len(conn), -1)
         keys = dof[:, None, :] * n + dof[:, :, None]
         keys[(dof[:, None, :] < 0) | (dof[:, :, None] < 0)] = n * n
         return keys
 
     @cached_property
-    def _keys(self):
-        # the sorted distinct keys are the stored entries in CSC order; a
-        # sort and a search hold less memory than np.unique's inverse
-        keys = np.sort(self._dof_keys(self.mesh.tets).ravel())
-        keys = keys[np.diff(keys, prepend=-1) != 0]
-        return keys[:np.searchsorted(keys, self.n_dof ** 2)]
-
-    @cached_property
     def tet_pos(self):
-        return np.searchsorted(self._keys, self._dof_keys(self.mesh.tets).ravel())
+        tets, keys = self.mesh.tets, self._pattern[1]
+        pos = np.empty((len(tets), 30, 30), self.indices.dtype)
+        for lo in range(0, len(tets), _BLOCK):
+            pos[lo:lo + _BLOCK] = np.searchsorted(
+                keys, self._dof_keys(tets[lo:lo + _BLOCK], self.number))
+        return pos.ravel()
 
     @cached_property
     def indices(self):
-        idx = np.int32 if max(self._keys.size, self.n_dof) < 2 ** 31 else np.int64
-        return (self._keys % self.n_dof).astype(idx)
+        keys = self._pattern[1]
+        idx = np.int32 if max(keys.size, self.n_dof) < 2 ** 31 else np.int64
+        return (keys % self.n_dof).astype(idx)
 
     @cached_property
     def indptr(self):
         steps = np.arange(self.n_dof + 1) * self.n_dof
-        return np.searchsorted(self._keys, steps).astype(self.indices.dtype)
+        return np.searchsorted(self._pattern[1], steps).astype(self.indices.dtype)
 
     def def_grad(self, u):
         """Deformation gradients at the quadrature points, (M, q, 3, 3)."""
@@ -238,13 +289,14 @@ class Model:
         pattern, whose entries would otherwise be lost.
         """
         if name not in self._face_pos:
-            keys = self._dof_keys(self.faces(name)[0]).ravel()
-            pos = np.searchsorted(self._keys, keys)
-            if not np.all(np.append(self._keys, self.n_dof ** 2)[pos] == keys):
+            stored = self._pattern[1]
+            keys = self._dof_keys(self.faces(name)[0], self.number).ravel()
+            pos = np.searchsorted(stored, keys)
+            if not np.all(np.append(stored, self.n_dof ** 2)[pos] == keys):
                 raise ValueError("element node pairs fall outside the "
                                  "sparsity pattern of the tets; every face "
                                  "must lie on a tet")
-            self._face_pos[name] = pos
+            self._face_pos[name] = pos.astype(self.indices.dtype)
         return self._face_pos[name]
 
     def _matrix(self, pos, blocks):
@@ -263,6 +315,19 @@ class Model:
             start = stop
         return sparse.csc_matrix((data[:nnz], self.indices, self.indptr),
                                  shape=(self.n_dof, self.n_dof))
+
+
+def _fill_rank(keys, n):
+    """rank[j], the place of DOF j in SuperLU's minimum-degree order of
+    A^T + A on the (n, n) pattern of the sorted keys column * n + row.
+    That order depends on the pattern alone, so the one read off an
+    incomplete factor of a diagonally dominant matrix on it is the one
+    the fast LU would compute for every tangent."""
+    pattern = sparse.csc_matrix(
+        (np.ones(keys.size), keys % n,
+         np.searchsorted(keys, np.arange(n + 1) * n)), shape=(n, n))
+    pattern.setdiag(n)
+    return spilu(pattern, **_FILL_ORDER).perm_c.astype(np.int64)
 
 
 def _node_sum(conn, values, n_nodes):
@@ -458,18 +523,19 @@ def _newton(params, model, face_set, pressure_kpa, u0, stats):
     that does not shrink to ``_CHORD_CONTRACTION`` times the previous
     correction is discarded and solved again with a factor at the same
     ``u``, so no residual is spent on it.  The old factor is released
-    before the next is built.
+    before the next is built.  Residuals are read and corrections
+    written through ``model.dofs``, in the model's order.
 
-    Each factorization first tries ``_FAST_LU`` (minimum degree on
-    A^T + A, symmetric mode, no pivoting, no relaxed supernodes).  If
-    SuperLU raises, or a back-solve K du = -r with that factor has
-    ||K du + r|| > ``_BACKWARD_TOL`` (||K||_1 ||du|| + ||r||), the tangent
-    is refactored by ``splu(kff)`` (COLAMD, partial pivoting) and the step
-    solved again.  The bound scales with the matrix, not with the
-    residual alone, which vanishes near convergence.  ``stats`` counts
-    the factorizations and fallbacks.
+    Each factorization first tries ``_FAST_LU`` (the model's fill order
+    taken as it comes, symmetric mode, no pivoting, no relaxed
+    supernodes).  If SuperLU raises, or a back-solve K du = -r with that
+    factor has ||K du + r|| > ``_BACKWARD_TOL`` (||K||_1 ||du|| + ||r||),
+    the tangent is refactored by ``splu(kff)`` (COLAMD, partial
+    pivoting) and the step solved again.  The bound scales with the
+    matrix, not with the residual alone, which vanishes near
+    convergence.  ``stats`` counts the factorizations and fallbacks.
     """
-    mesh, free = model.mesh, model.free
+    mesh, dofs = model.mesh, model.dofs
     u = u0.copy()
     history = []
     first = None
@@ -482,9 +548,9 @@ def _newton(params, model, face_set, pressure_kpa, u0, stats):
                     if pressure_kpa > 0.0 else np.zeros_like(fint))
         except mat.InvalidDeformation as exc:
             raise StepRejected(str(exc)) from None
-        resid = (fint - fext).reshape(-1)[free]
+        resid = (fint - fext).reshape(-1)[dofs]
         rnorm = float(np.linalg.norm(resid))
-        fnorm = float(np.linalg.norm(fext.reshape(-1)[free]))
+        fnorm = float(np.linalg.norm(fext.reshape(-1)[dofs]))
         if rnorm <= max(REL_TOL * fnorm, ABS_TOL) and \
                 correction <= _CORRECTION_TOL:
             history.append(rnorm)
@@ -507,7 +573,8 @@ def _newton(params, model, face_set, pressure_kpa, u0, stats):
                 stats["factorizations"] += 1
                 try:
                     lu = splu(kff, **_FAST_LU)
-                    knorm = float(abs(kff).sum(axis=0).max())  # ||K_ff||_1
+                    knorm = float(np.add.reduceat(             # ||K_ff||_1
+                        np.abs(kff.data), kff.indptr[:-1]).max())
                 except RuntimeError as exc:
                     lu, knorm = _fallback_factor(
                         kff, stats, f"fast factorization failed: {exc}"), None
@@ -526,7 +593,7 @@ def _newton(params, model, face_set, pressure_kpa, u0, stats):
             if fresh or dnorm <= limit:
                 break
             fresh = True
-        u.reshape(-1)[free] += du
+        u.reshape(-1)[dofs] += du
         correction = dnorm / max(float(np.linalg.norm(u)), 1e-300)
     raise StepRejected(f"no convergence in {MAX_NEWTON_ITERS} Newton iterations")
 

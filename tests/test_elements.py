@@ -114,3 +114,19 @@ def test_quadrature_tables_are_the_read_only_basis_at_the_rules():
     tables = (elements.TET_QP, elements.TET_W, elements.TET_DN, elements.TRI_QP,
               elements.TRI_W, elements.TRI_N, elements.TRI_DN)
     assert not any(t.flags.writeable for t in tables)
+
+
+def test_tri6_tangents_are_the_basis_gradients_and_their_cross_product():
+    # the tangents dX/d(xi, eta) = sum_a X_a dN_a/d(xi, eta) and the area
+    # vectors t0 x t1, on distorted faces and on an empty face set
+    rng = np.random.default_rng(6)
+    xf = rng.standard_normal((7, 6, 3))
+    t, nvec = elements.tri6_tangents(xf)
+    want = np.einsum("fam,qad->fqmd", xf, elements.TRI_DN)
+    assert t.shape == want.shape
+    assert np.max(np.abs(t - want)) <= 1e-14 * np.max(np.abs(want))
+    cross = np.cross(want[..., 0], want[..., 1])
+    assert np.max(np.abs(nvec - cross)) <= 1e-14 * np.max(np.abs(cross))
+    t, nvec = elements.tri6_tangents(np.empty((0, 6, 3)))
+    n_q = len(elements.TRI_W)
+    assert t.shape == (0, n_q, 3, 2) and nvec.shape == (0, n_q, 3)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import spilu, splu
 
 from pneusoft import fea, geometry, material
 from pneusoft import mesh as meshmod
@@ -124,12 +124,13 @@ class _Stop(Exception):
 
 def test_newton_factors_free_block_of_pattern(pocket_coarse, monkeypatch):
     # the matrix Newton factors equals the free-DOF block of the full
-    # model's tangent minus its load stiffness at the same state
+    # model's tangent minus its load stiffness at the same state, taken in
+    # the order of the solve's model
     seen = {}
     tangent = fea.tangent_stiffness
 
     def record(mesh, params, u, **kwargs):
-        seen["u"] = u.copy()
+        seen["u"], seen["dofs"] = u.copy(), kwargs["model"].dofs
         return tangent(mesh, params, u, **kwargs)
 
     def stop(kff, **kwargs):
@@ -141,13 +142,13 @@ def test_newton_factors_free_block_of_pattern(pocket_coarse, monkeypatch):
     case = fea.LoadCase(target_pressure_kpa=20.0, increments=1)
     with pytest.raises(_Stop):
         fea.solve(pocket_coarse, PARAMS, case)
-    mask = np.zeros((pocket_coarse.n_nodes, 3), dtype=bool)
-    mask[pocket_coarse.node_set("fixed")] = True
-    free = ~mask.reshape(-1)
-    full, u = fea.Model(pocket_coarse), seen["u"]
+    full, u, dofs = fea.Model(pocket_coarse), seen["u"], seen["dofs"]
+    fixed = 3 * pocket_coarse.node_set("fixed")[:, None] + np.arange(3)
+    assert np.array_equal(np.sort(dofs), np.setdiff1d(
+        np.arange(3 * pocket_coarse.n_nodes), fixed))
     want = (tangent(pocket_coarse, PARAMS, u, model=full)
             - fea.pressure_stiffness(pocket_coarse, 20.0, u, model=full))
-    want = want.tocsr()[free][:, free]
+    want = want.tocsr()[dofs][:, dofs]
     got = seen["kff"]
     assert got.format == "csc" and got.has_sorted_indices
     assert got.shape == want.shape
@@ -165,17 +166,49 @@ def test_free_dof_model_gives_the_free_block():
     model, full = fea.Model(mesh, free), fea.Model(mesh)
     assert np.array_equal(model.free, free)
     assert model.n_dof == np.count_nonzero(free)
+    assert np.array_equal(np.sort(model.dofs), np.flatnonzero(free))
     assert np.any(model.face_pos("cavity") == len(model.indices))
     u = _random_displacement(mesh, 5, scale=0.01)
     for layer, args in ((fea.tangent_stiffness, (PARAMS, u)),
                         (fea.pressure_stiffness, (30.0, u))):
         got = layer(mesh, *args, model=model)
-        want = layer(mesh, *args, model=full).tocsr()[free][:, free].tocsc()
+        want = layer(mesh, *args, model=full).tocsr()[model.dofs][:, model.dofs]
+        want = want.tocsc()
         assert got.format == "csc" and got.has_canonical_format
         assert got.shape == want.shape
         for g, w in ((got.indptr, want.indptr), (got.indices, want.indices),
                      (got.data, want.data)):
             assert np.array_equal(g, w), layer.__name__
+
+
+def test_model_numbers_a_mask_in_fill_order_once(pocket_coarse, monkeypatch):
+    # Model(mesh) keeps node order; a mask's DOFs are numbered in fill
+    # order, and the ordering runs once per model
+    orders = []
+
+    def count(a, **kwargs):
+        orders.append(kwargs["permc_spec"])
+        return spilu(a, **kwargs)
+
+    monkeypatch.setattr(fea, "spilu", count)
+    u = _random_displacement(pocket_coarse, 4)
+    n = 3 * pocket_coarse.n_nodes
+    full = fea.Model(pocket_coarse)
+    fea.tangent_stiffness(pocket_coarse, PARAMS, u, model=full)
+    assert np.array_equal(full.dofs, np.arange(n))
+    assert np.array_equal(full.number, np.arange(n))
+    assert orders == []
+    free = np.ones(n, bool)
+    free[3 * pocket_coarse.node_set("fixed")] = False
+    model = fea.Model(pocket_coarse, free)
+    for _ in range(2):
+        fea.tangent_stiffness(pocket_coarse, PARAMS, u, model=model)
+        fea.pressure_stiffness(pocket_coarse, 30.0, u, model=model)
+    assert orders == ["MMD_AT_PLUS_A"]
+    assert np.array_equal(np.sort(model.dofs), np.flatnonzero(free))
+    assert not np.array_equal(model.dofs, np.flatnonzero(free))
+    assert np.array_equal(model.number[model.dofs], np.arange(model.n_dof))
+    assert np.all(model.number[~free] == -1)
 
 
 def test_force_and_energy_calls_build_no_pattern(pocket_coarse):
@@ -418,6 +451,46 @@ def test_fast_factor_solve_matches_partial_pivoting(pocket_coarse, monkeypatch):
     # without relaxed supernodes the factor stores no padding zeros
     relaxed = {k: v for k, v in kwargs.items() if k != "relax"}
     assert lu.nnz < splu(kff, **relaxed).nnz
+
+
+def test_newton_factors_in_the_model_order(pocket_coarse, monkeypatch):
+    # the model's DOFs are already in fill order, so no factor of a solve
+    # orders them again
+    specs = []
+
+    def spy(k, **kwargs):
+        specs.append(kwargs.get("permc_spec"))
+        return splu(k, **kwargs)
+
+    monkeypatch.setattr(fea, "splu", spy)
+    sol = fea.solve(pocket_coarse, PARAMS, POCKET_RAMP)
+    assert len(specs) == sum(rec["factorizations"] for rec in sol.log) > 0
+    assert set(specs) == {"NATURAL"}
+
+
+def test_fill_order_keeps_the_minimum_degree_fill(monkeypatch):
+    # the first bend-ramp tangent factored in the model's order has the
+    # fill of SuperLU's minimum degree on the node-ordered free block
+    mesh = coarse_mesh("bending2", 8.0, symmetric_half=True)
+    seen = {}
+
+    def first(k, **kwargs):
+        seen["kff"], seen["nnz"] = k, splu(k, **kwargs).nnz
+        raise _Stop
+
+    monkeypatch.setattr(fea, "splu", first)
+    case = fea.LoadCase(target_pressure_kpa=60.0, increments=60,
+                        extra_fixed=(("symx", "x"),))
+    with pytest.raises(_Stop):
+        fea.solve(mesh, PARAMS, case)
+    free = np.ones((mesh.n_nodes, 3), bool)
+    free[mesh.node_set("fixed")] = False
+    free[mesh.node_set("symx"), 0] = False
+    back = np.argsort(fea.Model(mesh, free.reshape(-1)).dofs)
+    node_block = seen["kff"][back][:, back]
+    mmd = splu(node_block, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+               relax=1, options=dict(SymmetricMode=True))
+    assert seen["nnz"] == mmd.nnz == 641_524
 
 
 def test_accepted_states_bound_their_correction(pocket_ramp):
