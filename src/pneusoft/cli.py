@@ -76,11 +76,18 @@ def _cmd_mesh(args):
 
 
 def _load_or_build_mesh(args):
-    if args.mesh is not None:
-        return load_mesh(args.mesh)
-    if args.kind is None:
-        raise ValueError("need either --mesh or --kind")
-    return geometry.generate_mesh(_spec_from_args(args))
+    if args.mesh is None:
+        if args.kind is None:
+            raise ValueError("need either --mesh or --kind")
+        return geometry.generate_mesh(_spec_from_args(args))
+    given = [name for name in ("kind", *(f.name for f in _SPEC_FIELDS))
+             if getattr(args, name) is not None]
+    if args.half:
+        given.append("half")
+    if given:
+        flags = ", ".join("--" + name.replace("_", "-") for name in given)
+        raise ValueError(f"--mesh reads the shape from the file; drop {flags}")
+    return load_mesh(args.mesh)
 
 
 def _supports(msh):
@@ -148,22 +155,21 @@ def _cmd_calibrate(args):
 def _cmd_robot(args):
     cfg = _resolve_config(args)
     if args.robot == "earthworm":
-        params = cfgmod.earthworm_params(cfg)
+        params = cfgmod.build(cfg, robots.EarthwormParams)
         table = robots.earthworm_frequency_sweep(params, _sweep(args.sweep))
         _write_rows(args.out, "freq_Hz,speed_mm_s", table)
         best = table[np.argmax(table[:, 1])]
         print(f"peak speed {best[1]:.2f} mm/s at {best[0]:.2f} Hz")
     elif args.robot == "quadruped":
-        params = cfgmod.quadruped_params(cfg)
-        pressures = _floats(args.pressures)
-        loads = _floats(args.loads)
-        table = robots.quadruped_speed_table(params, pressures, loads)
+        params = cfgmod.build(cfg, robots.QuadrupedParams)
+        table = robots.quadruped_speed_table(params, _floats(args.pressures),
+                                             _floats(args.loads))
         _write_rows(args.out, "pressure_kPa,load_g,speed_mm_s", table)
         ref = robots.quadruped_speed(params, args.pressure, args.load)
         print(f"speed at {args.pressure:g} kPa under {args.load:g} g: "
               f"{ref:.2f} mm/s")
     elif args.robot == "gripper":
-        params = cfgmod.gripper_params(cfg)
+        params = cfgmod.build(cfg, robots.GripperParams)
         table = robots.gripper_pressure_table(params, _floats(args.masses),
                                               args.diameter)
         _write_rows(args.out, "mass_g,p_min_plain_kPa,p_min_tape_kPa", table)
@@ -172,8 +178,8 @@ def _cmd_robot(args):
             print(f"mass {m:6.1f} g: plain {pp:8.3f} kPa, tape {pt:7.3f} "
                   f"kPa, ratio {ratio:.3f}")
     else:  # bath
-        plant = cfgmod.bath_plant(cfg)
-        thermostat = cfgmod.bath_thermostat(cfg)
+        plant = cfgmod.build(cfg, pneumatics.BathPlant)
+        thermostat = cfgmod.build(cfg, pneumatics.ThermostatController)
         trace = pneumatics.run_bath(plant, thermostat, args.duration,
                                     args.dt)
         if args.out:
@@ -185,7 +191,7 @@ def _cmd_robot(args):
 
 def _cmd_control(args):
     cfg = _resolve_config(args)
-    plant = cfgmod.pneumatic_plant(cfg)
+    plant = cfgmod.build(cfg, pneumatics.PneumaticPlant)
     if args.mode == "deadband":
         ctl = pneumatics.DeadbandController(setpoint_kpa=args.setpoint,
                                             band_kpa=args.band)
@@ -276,39 +282,45 @@ def build_parser():
     _add_config_args(p)
     p.set_defaults(func=_cmd_calibrate)
 
+    # each robot model and control mode takes only the flags it reads
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", metavar="CSV", default=None)
+    _add_config_args(out)
+
     p = sub.add_parser("robot", help="reduced-order robot predictions")
-    p.add_argument("robot", choices=("earthworm", "quadruped", "gripper",
-                                     "bath"))
-    p.add_argument("--out", metavar="CSV", default=None)
-    p.add_argument("--sweep", metavar="START:STOP:STEP", default="0.2:1.6:0.1",
-                   help="earthworm frequency grid in Hz (default %(default)s)")
-    p.add_argument("--pressure", type=float, default=50.0, metavar="KPA",
-                   help="quadruped point to report (default %(default)s)")
-    p.add_argument("--load", type=float, default=80.0, metavar="G",
-                   help="quadruped load to report (default %(default)s)")
-    p.add_argument("--pressures", default="20,30,40,50",
-                   metavar="KPA[,KPA...]")
-    p.add_argument("--loads", default="0,40,80,120", metavar="G[,G...]")
-    p.add_argument("--masses", default="100,150,200", metavar="G[,G...]")
-    p.add_argument("--diameter", type=float, default=60.0, metavar="MM")
-    p.add_argument("--duration", type=float, default=3600.0, metavar="S")
-    p.add_argument("--dt", type=float, default=0.1, metavar="S")
-    _add_config_args(p)
     p.set_defaults(func=_cmd_robot)
+    models = p.add_subparsers(dest="robot", required=True)
+    q = models.add_parser("earthworm", parents=[out])
+    q.add_argument("--sweep", metavar="START:STOP:STEP", default="0.2:1.6:0.1",
+                   help="frequency grid in Hz (default %(default)s)")
+    q = models.add_parser("quadruped", parents=[out])
+    q.add_argument("--pressure", type=float, default=50.0, metavar="KPA",
+                   help="point to report (default %(default)s)")
+    q.add_argument("--load", type=float, default=80.0, metavar="G",
+                   help="load to report (default %(default)s)")
+    q.add_argument("--pressures", default="20,30,40,50",
+                   metavar="KPA[,KPA...]")
+    q.add_argument("--loads", default="0,40,80,120", metavar="G[,G...]")
+    q = models.add_parser("gripper", parents=[out])
+    q.add_argument("--masses", default="100,150,200", metavar="G[,G...]")
+    q.add_argument("--diameter", type=float, default=60.0, metavar="MM")
+    q = models.add_parser("bath", parents=[out])
+    q.add_argument("--duration", type=float, default=3600.0, metavar="S")
+    q.add_argument("--dt", type=float, default=0.1, metavar="S")
 
     p = sub.add_parser("control", help="simulate one valve control loop")
-    p.add_argument("--mode", choices=("deadband", "duty"),
-                   default="deadband")
-    p.add_argument("--setpoint", type=float, default=40.0, metavar="KPA")
-    p.add_argument("--band", type=float, default=2.0, metavar="KPA")
-    p.add_argument("--frequency", type=float, default=0.8, metavar="HZ")
-    p.add_argument("--duty", type=float, default=0.5)
-    p.add_argument("--duration", type=float, default=5.0, metavar="S")
-    p.add_argument("--sample-hz", type=float,
-                   default=pneumatics.DEFAULT_SAMPLE_HZ)
-    p.add_argument("--out", metavar="CSV", default=None)
-    _add_config_args(p)
     p.set_defaults(func=_cmd_control)
+    modes = p.add_subparsers(dest="mode", required=True)
+    loop = argparse.ArgumentParser(add_help=False, parents=[out])
+    loop.add_argument("--duration", type=float, default=5.0, metavar="S")
+    loop.add_argument("--sample-hz", type=float,
+                      default=pneumatics.DEFAULT_SAMPLE_HZ)
+    q = modes.add_parser("deadband", parents=[loop])
+    q.add_argument("--setpoint", type=float, default=40.0, metavar="KPA")
+    q.add_argument("--band", type=float, default=2.0, metavar="KPA")
+    q = modes.add_parser("duty", parents=[loop])
+    q.add_argument("--frequency", type=float, default=0.8, metavar="HZ")
+    q.add_argument("--duty", type=float, default=0.5)
 
     p = sub.add_parser("verify", help="run the built-in check suite")
     p.add_argument("--full", action="store_true",

@@ -6,6 +6,11 @@ comments.  Resolution order is fixed: code defaults, then the file
 ``--set`` style overrides.  Every key must already exist in the
 defaults and values are coerced to the default's type, so typos fail
 loudly instead of silently configuring nothing.
+
+Keys are scalar settings only.  ``SECTIONS`` names the dataclasses each
+section configures: every field of theirs is a key of the section, with
+the field's default, except private fields and the running ``STATE`` a
+plant starts from.  ``build`` constructs any of those classes.
 """
 
 import dataclasses
@@ -16,16 +21,23 @@ from . import fea, material, pneumatics, robots
 
 ENV_VAR = "PNEUSOFT_CONFIG"
 
+SECTIONS = {
+    "pneumatics": (pneumatics.PneumaticPlant,),
+    "bath": (pneumatics.BathPlant, pneumatics.ThermostatController),
+    "earthworm": (robots.EarthwormParams,),
+    "quadruped": (robots.QuadrupedParams,),
+    "gripper": (robots.GripperParams,),
+}
+# a plant's initial condition, which a run evolves: not a setting
+STATE = frozenset({"pressure_kpa", "temp_c"})
 
-def _fields(prefix, cls, skip=()):
-    out = {}
-    for f in dataclasses.fields(cls):
-        if f.name.startswith("_") or f.name in skip:
-            continue
-        if f.default is dataclasses.MISSING:
-            continue
-        out[f"{prefix}.{f.name}"] = f.default
-    return out
+_SECTION_OF = {cls: name for name, classes in SECTIONS.items()
+               for cls in classes}
+
+
+def _settings(cls):
+    return [f for f in dataclasses.fields(cls)
+            if not f.name.startswith("_") and f.name not in STATE]
 
 
 def defaults():
@@ -35,24 +47,20 @@ def defaults():
         "material.kappa_ratio": float(material.DEFAULT_KAPPA_RATIO),
         "solver.increments": fea.LoadCase.increments,
     }
-    cfg.update(_fields("pneumatics", pneumatics.PneumaticPlant))
-    cfg.update(_fields("bath", pneumatics.BathPlant, skip=("temp_c",)))
-    cfg.update(_fields("bath", pneumatics.ThermostatController))
-    cfg.update(_fields("earthworm", robots.EarthwormParams))
-    cfg.update(_fields("quadruped", robots.QuadrupedParams))
-    cfg.update(_fields("gripper", robots.GripperParams))
+    for cls, section in _SECTION_OF.items():
+        cfg.update((f"{section}.{f.name}", f.default) for f in _settings(cls))
     return cfg
 
 
-def _finite(value):
-    if not math.isfinite(value):
-        raise ValueError(f"{value} is not finite")
-    return value
+def build(cfg, cls):
+    """An instance of a class in ``SECTIONS`` from its keys in ``cfg``."""
+    section = _SECTION_OF[cls]
+    return cls(**{f.name: cfg[f"{section}.{f.name}"] for f in _settings(cls)})
 
 
 def parse_value(key, text, reference):
-    """Coerce ``text`` to the type of ``reference[key]``; float values and
-    tuple entries must be finite."""
+    """Coerce ``text`` to the type of ``reference[key]``; float values
+    must be finite."""
     if key not in reference:
         known = ", ".join(sorted(reference))
         raise KeyError(f"unknown config key {key!r}; known keys: {known}")
@@ -62,9 +70,10 @@ def parse_value(key, text, reference):
         if isinstance(ref, int):
             return int(text)
         if isinstance(ref, float):
-            return _finite(float(text))
-        if isinstance(ref, tuple):
-            return tuple(_finite(float(tok)) for tok in text.split(","))
+            value = float(text)
+            if not math.isfinite(value):
+                raise ValueError(f"{value} is not finite")
+            return value
     except ValueError as exc:
         raise ValueError(f"config key {key!r}: {exc}") from None
     return text
@@ -113,47 +122,12 @@ def dumps(cfg):
     lines = []
     for key in sorted(cfg):
         value = cfg[key]
-        if isinstance(value, tuple):
-            text = ",".join(f"{v:g}" for v in value)
-        else:
-            text = f"{value:g}" if isinstance(value, float) else str(value)
+        text = f"{value:g}" if isinstance(value, float) else str(value)
         lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"
-
-
-def _section(cfg, prefix):
-    plen = len(prefix) + 1
-    return {k[plen:]: v for k, v in cfg.items() if k.startswith(prefix + ".")}
 
 
 def material_params(cfg):
     c10 = cfg["material.c10_mpa"]
     return material.HyperelasticParams(
         c10=c10, kappa=cfg["material.kappa_ratio"] * c10)
-
-
-def pneumatic_plant(cfg):
-    return pneumatics.PneumaticPlant(**_section(cfg, "pneumatics"))
-
-
-def bath_plant(cfg):
-    keys = ("heater_power_w", "loss_w_per_c", "capacity_j_per_c", "ambient_c")
-    sec = _section(cfg, "bath")
-    return pneumatics.BathPlant(**{k: sec[k] for k in keys})
-
-
-def bath_thermostat(cfg):
-    return pneumatics.ThermostatController(
-        setpoint_c=cfg["bath.setpoint_c"], band_c=cfg["bath.band_c"])
-
-
-def earthworm_params(cfg):
-    return robots.EarthwormParams(**_section(cfg, "earthworm"))
-
-
-def quadruped_params(cfg):
-    return robots.QuadrupedParams(**_section(cfg, "quadruped"))
-
-
-def gripper_params(cfg):
-    return robots.GripperParams(**_section(cfg, "gripper"))

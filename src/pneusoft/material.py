@@ -124,12 +124,6 @@ def pk2_stress(params, f):
     return _pk2(params, *_kinematics(f))
 
 
-def pk1_stress(params, f):
-    """First Piola-Kirchhoff stress P = F S."""
-    return np.einsum("...ij,...jk->...ik", np.asarray(f, dtype=float),
-                     pk2_stress(params, f))
-
-
 def lagrangian_tangent(params, f):
     """(S, C^-1, (a, b, c)) from one evaluation of J, C^-1 and I1.
 

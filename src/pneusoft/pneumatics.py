@@ -234,6 +234,10 @@ class ThermostatController:
     def __post_init__(self):
         if self.band_c <= 0:
             raise ValueError(f"band must be positive, got {self.band_c}")
+        if not self.setpoint_c + self.band_c < PUMP_LIMIT_C:
+            raise ValueError(
+                f"setpoint {self.setpoint_c:g} + band {self.band_c:g} degC "
+                f"must stay below the pump's {PUMP_LIMIT_C:g} degC limit")
 
     def command(self, t_s, temp_c):
         if temp_c < self.setpoint_c - self.band_c:

@@ -3,10 +3,11 @@
 Each model maps an actuation setting to a body-level outcome without
 running the full solver in the loop, and the pneumatic loop supplies
 the pressure swings.  Only the quadruped bend table is copied from a
-solve (with a drift test against it); the earthworm's stroke map
-(``stroke_max_mm``, ``pressure_scale_kpa``), its ``force_gain_n_per_kpa``
-and the gripper's ``normal_gain_n_per_kpa`` are set by hand, with no
-solver path behind them yet.
+solve: it is module data (``QUADRUPED_BEND_TABLE_*``, with a drift test
+against the solve), not a parameter or a config key.  The earthworm's
+stroke map (``stroke_max_mm``, ``pressure_scale_kpa``), its
+``force_gain_n_per_kpa`` and the gripper's ``normal_gain_n_per_kpa``
+are set by hand, with no solver path behind them yet.
 
 earthworm   one linear actuator between two anisotropic-friction legs,
             driven by duty-cycled fill/vent switching
@@ -143,29 +144,21 @@ class QuadrupedParams:
     leg_length_mm: float = 60.0
     stall_load_g: float = 120.33
     max_pressure_kpa: float = 50.0
-    bend_table_kpa: tuple = QUADRUPED_BEND_TABLE_KPA
-    bend_table_deg: tuple = QUADRUPED_BEND_TABLE_DEG
 
     def __post_init__(self):
         if self.cycle_s <= 0 or self.leg_length_mm <= 0:
             raise ValueError("cycle time and leg length must be positive")
         if self.stall_load_g <= 0:
             raise ValueError("stall load must be positive")
-        kpa, deg = self.bend_table_kpa, self.bend_table_deg
-        if len(kpa) != len(deg) or len(kpa) < 2:
-            raise ValueError("bend table needs matching kPa/deg columns")
-        if any(b <= a for a, b in zip(kpa, kpa[1:])):
-            raise ValueError("bend table pressures must increase")
-        if any(b < a for a, b in zip(deg, deg[1:])):
-            raise ValueError("bend table angles must be non-decreasing")
 
 
-def quadruped_bend_angle(params, pressure_kpa):
-    """Leg tip angle in degrees at a held pressure (interpolated)."""
+def quadruped_bend_angle(pressure_kpa):
+    """Leg tip angle in degrees at a held pressure, interpolated in the
+    bend table."""
     p = np.asarray(pressure_kpa, dtype=float)
     if np.any(p < 0):
         raise ValueError("negative pressure in bend table lookup")
-    out = np.interp(p, params.bend_table_kpa, params.bend_table_deg)
+    out = np.interp(p, QUADRUPED_BEND_TABLE_KPA, QUADRUPED_BEND_TABLE_DEG)
     return float(out) if np.isscalar(pressure_kpa) else out
 
 
@@ -185,7 +178,7 @@ def quadruped_speed(params, pressure_kpa, load_g=0.0):
         warnings.warn(
             f"{pressure_kpa:g} kPa exceeds the {params.max_pressure_kpa:g} "
             f"kPa stance envelope of the legs; speed extrapolated")
-    angle = math.radians(quadruped_bend_angle(params, pressure_kpa))
+    angle = math.radians(quadruped_bend_angle(pressure_kpa))
     step_mm = 2.0 * params.leg_length_mm * math.sin(angle / 2.0)
     derate = max(0.0, 1.0 - load_g / params.stall_load_g)
     return 2.0 * step_mm * derate / params.cycle_s
@@ -213,12 +206,8 @@ def quadruped_trajectory(params, pressure_kpa, load_g=0.0, duration_s=9.0):
     return np.array([(k * half, k * advance) for k in range(n + 1)])
 
 
-def quadruped_speed_table(params, pressures_kpa=None, loads_g=None):
+def quadruped_speed_table(params, pressures_kpa, loads_g):
     """Rows of (pressure_kPa, load_g, speed_mm_s) over a grid."""
-    if pressures_kpa is None:
-        pressures_kpa = (20.0, 30.0, 40.0, 50.0)
-    if loads_g is None:
-        loads_g = (0.0, 40.0, 80.0, 120.0)
     rows = []
     for p in pressures_kpa:
         for m in loads_g:

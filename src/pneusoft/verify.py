@@ -22,7 +22,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from . import config as cfgmod
-from . import fea, geometry, pneumatics
+from . import fea, geometry, pneumatics, robots
 from . import material as mat
 from .mesh import face_normal_sum
 
@@ -219,33 +219,31 @@ def check_valve_swing(cfg=None):
     """Closed-form duty-cycle extremes match the valve plant stepped
     through whole fill and vent phases until the cycle repeats."""
     t0 = time.perf_counter()
-    cfg = cfg or cfgmod.defaults()
-    supply = cfg["earthworm.supply_kpa"]
-    tf = cfg["earthworm.tau_fill_s"]
-    tv = cfg["earthworm.tau_vent_s"]
-    duty = cfg["earthworm.duty"]
+    ew = cfgmod.build(cfg or cfgmod.defaults(), robots.EarthwormParams)
     freqs = np.linspace(0.2, 2.0, 20)
     worst = 0.0
     for f in freqs:
-        lo, hi = pneumatics.cycle_amplitude(f, duty, supply, tf, tv)
-        blo, bhi = _plant_cycle(f, duty, supply, tf, tv)
+        lo, hi = pneumatics.cycle_amplitude(f, ew.duty, ew.supply_kpa,
+                                            ew.tau_fill_s, ew.tau_vent_s)
+        blo, bhi = _plant_cycle(f, ew)
         worst = max(worst, abs(lo - blo) / blo, abs(hi - bhi) / bhi)
     return _result("valve-swing", t0, worst < 1e-3,
                    f"worst relative gap {worst:.2e} over {len(freqs)} "
                    f"frequencies from 0.2 to 2 Hz (tol 1e-3)")
 
 
-def _plant_cycle(freq, duty, supply, tau_fill, tau_vent):
+def _plant_cycle(freq, ew):
     # the plant's exponential step is exact for any length, so one step
     # per valve phase, repeated until the peak stops moving, gives the
     # periodic extremes without the closed form
-    plant = pneumatics.PneumaticPlant(supply_kpa=supply, tau_fill_s=tau_fill,
-                                      tau_vent_s=tau_vent)
+    plant = pneumatics.PneumaticPlant(supply_kpa=ew.supply_kpa,
+                                      tau_fill_s=ew.tau_fill_s,
+                                      tau_vent_s=ew.tau_vent_s)
     lo = hi = math.nan
     for _ in range(10000):
         last = hi
-        hi = plant.step(duty / freq, True, False)
-        lo = plant.step((1.0 - duty) / freq, False, True)
+        hi = plant.step(ew.duty / freq, True, False)
+        lo = plant.step((1.0 - ew.duty) / freq, False, True)
         if hi == last:
             break
     return lo, hi

@@ -292,13 +292,13 @@ def test_robot_earthworm_sweep(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["robot", "earthworm", "--sweep", "0.2:1.6:0"],
     ["robot", "earthworm", "--sweep", "1.6:0.2:0.1"],
-    ["control", "--duration", "inf"],
-    ["control", "--sample-hz", "inf"],
+    ["control", "deadband", "--duration", "inf"],
+    ["control", "duty", "--sample-hz", "inf"],
     ["robot", "bath", "--duration", "inf"],
     # non-finite controller and robot inputs
-    ["control", "--setpoint", "nan"],
-    ["control", "--band", "nan"],
-    ["control", "--mode", "duty", "--frequency", "nan"],
+    ["control", "deadband", "--setpoint", "nan"],
+    ["control", "deadband", "--band", "nan"],
+    ["control", "duty", "--frequency", "nan"],
     ["robot", "gripper", "--diameter", "nan"],
     ["robot", "gripper", "--diameter", "inf"],
     ["robot", "gripper", "--masses", "nan"],
@@ -308,13 +308,15 @@ def test_robot_earthworm_sweep(tmp_path, capsys):
     ["mesh", "--kind", "cube", "--element-size", "inf"],
     ["mesh", "--kind", "linear", "--length", "nan"],
     # non-finite config values
-    ["robot", "quadruped", "--set", "quadruped.bend_table_deg=0,nan,5,7,10,12,15"],
+    ["robot", "quadruped", "--set", "quadruped.cycle_s=nan"],
     ["robot", "bath", "--duration", "10", "--set", "bath.setpoint_c=nan"],
     # sample counts over pneumatics.MAX_SAMPLES, refused before allocating
-    ["control", "--duration", "1e12"],
+    ["control", "deadband", "--duration", "1e12"],
     ["robot", "bath", "--duration", "1e13"],
     ["robot", "earthworm", "--sweep", "0.2:1e12:0.1"],
-    ["control", "--duration", "1e300", "--sample-hz", "1e300"],
+    ["control", "duty", "--duration", "1e300", "--sample-hz", "1e300"],
+    # a thermostat band that reaches the pump's limit
+    ["robot", "bath", "--duration", "3000", "--set", "bath.setpoint_c=90"],
 ])
 def test_bad_loop_lengths_exit_2(capsys, argv):
     assert cli.main(argv) == 2
@@ -361,14 +363,46 @@ def test_robot_bath_short_run(tmp_path, capsys):
 
 def test_control_deadband_and_duty(tmp_path, capsys):
     out = tmp_path / "ctl.csv"
-    rc = cli.main(["control", "--mode", "deadband", "--setpoint", "40",
+    rc = cli.main(["control", "deadband", "--setpoint", "40",
                    "--duration", "2", "--out", str(out)])
     assert rc == 0
     assert out.read_text().splitlines()[0] == "time_s,pressure_kPa,inlet,vent"
-    rc = cli.main(["control", "--mode", "duty", "--frequency", "0.8",
+    rc = cli.main(["control", "duty", "--frequency", "0.8",
                    "--duration", "2"])
     assert rc == 0
     assert "pressure after" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["robot", "earthworm"], ["--masses", "5"]),
+    (["robot", "earthworm"], ["--pressure", "90"]),
+    (["robot", "earthworm"], ["--dt", "7"]),
+    (["robot", "gripper", "--masses", "0"], ["--sweep", "0.2:1:0.1"]),
+    (["control", "duty"], ["--setpoint", "99"]),
+    (["control", "deadband"], ["--duty", "0.2"]),
+])
+def test_commands_refuse_flags_they_do_not_read(capsys, argv, extra):
+    assert cli.main(argv) == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + extra)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(extra)}" \
+        in capsys.readouterr().err
+
+
+def test_solve_mesh_refuses_spec_flags(tmp_path, capsys):
+    # a saved mesh carries its own shape, so spec flags would be dropped
+    msh = tmp_path / "p.msh"
+    meshmod.save_mesh(coarse_mesh("pocket", 2.5), msh)
+    out = tmp_path / "s.csv"
+    argv = ["solve", "--mesh", str(msh), "--pressure", "0", "--out", str(out)]
+    rc = cli.main(argv + ["--kind", "tube", "--wall", "9", "--half"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "error: --mesh reads the shape from the file; drop --kind, --wall, "
+        "--half")
+    assert not out.exists()
+    assert cli.main(argv) == 0
 
 
 def test_verify_quick_passes(capsys):

@@ -5,7 +5,6 @@ from pathlib import Path
 import pytest
 
 from pneusoft import config as cfgmod
-from pneusoft import pneumatics, robots
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -21,8 +20,11 @@ def test_defaults_cover_every_section():
     assert cfg["material.kappa_ratio"] == 1000.0
     assert cfg["solver.increments"] == 10
     prefixes = {k.split(".", 1)[0] for k in cfg}
-    assert prefixes == {"material", "solver", "pneumatics", "bath",
-                        "earthworm", "quadruped", "gripper"}
+    assert prefixes == {"material", "solver", *cfgmod.SECTIONS}
+    # keys are scalar settings: no table, no plant state
+    assert all(type(v) in (int, float) for v in cfg.values())
+    assert "pneumatics.pressure_kpa" not in cfg
+    assert "bath.temp_c" not in cfg
     # defaults() hands out fresh copies
     a = cfgmod.defaults()
     a["material.c10_mpa"] = 99.0
@@ -67,13 +69,11 @@ def test_value_coercion_by_reference_type():
     assert cfgmod.parse_value("solver.increments", "60", cfg) == 60
     assert isinstance(cfgmod.parse_value("solver.increments", "60", cfg), int)
     assert cfgmod.parse_value("material.c10_mpa", "0.3", cfg) == 0.3
-    table = cfgmod.parse_value("quadruped.bend_table_kpa", "0, 10, 20", cfg)
-    assert table == (0.0, 10.0, 20.0)
     with pytest.raises(ValueError):
         cfgmod.parse_value("solver.increments", "sixty", cfg)
-    # non-finite floats and tuple entries name their key
+    # non-finite floats name their key
     for key, text in (("bath.setpoint_c", "nan"),
-                      ("quadruped.bend_table_deg", "0, 2, -inf")):
+                      ("quadruped.cycle_s", "-inf")):
         with pytest.raises(ValueError, match=f"{key}.*not finite"):
             cfgmod.parse_value(key, text, cfg)
 
@@ -92,34 +92,32 @@ def test_file_errors_carry_path_and_line(tmp_path):
 
 
 def test_builders_construct_domain_objects():
-    cfg = cfgmod.resolve(overrides=(
-        "material.c10_mpa=0.3",
-        "pneumatics.supply_kpa=100",
-        "bath.setpoint_c=55",
-        "earthworm.mu_backward=2.0",
-        "quadruped.leg_length_mm=70",
-        "gripper.mu_tape=4.0",
-    ))
+    # every key of every section, set off its default, reaches its object
+    base = cfgmod.defaults()
+    cfg = cfgmod.resolve(overrides=[
+        f"{k}={v + (1 if isinstance(v, int) else 0.5)}"
+        for k, v in base.items()])
+    carried = set()
+    for section, classes in cfgmod.SECTIONS.items():
+        for cls in classes:
+            obj = cfgmod.build(cfg, cls)
+            for name in vars(obj):
+                key = f"{section}.{name}"
+                if key in cfg:
+                    assert getattr(obj, name) == cfg[key] != base[key], key
+                    carried.add(key)
     params = cfgmod.material_params(cfg)
-    assert params.c10 == 0.3
-    assert params.kappa == pytest.approx(300.0)
-    plant = cfgmod.pneumatic_plant(cfg)
-    assert plant.supply_kpa == 100.0
-    bath = cfgmod.bath_plant(cfg)
-    assert bath.heater_power_w == 2000.0
-    thermostat = cfgmod.bath_thermostat(cfg)
-    assert thermostat.setpoint_c == 55.0
-    assert cfgmod.earthworm_params(cfg).mu_backward == 2.0
-    assert cfgmod.quadruped_params(cfg).leg_length_mm == 70.0
-    assert cfgmod.gripper_params(cfg).mu_tape == 4.0
+    assert params.c10 == cfg["material.c10_mpa"] == 0.74
+    assert params.kappa == pytest.approx(1000.5 * 0.74)
+    assert carried | {"material.c10_mpa", "material.kappa_ratio",
+                      "solver.increments"} == set(cfg)
 
 
 def test_default_builders_match_dataclass_defaults():
     cfg = cfgmod.defaults()
-    assert cfgmod.pneumatic_plant(cfg) == pneumatics.PneumaticPlant()
-    assert cfgmod.earthworm_params(cfg) == robots.EarthwormParams()
-    assert cfgmod.quadruped_params(cfg) == robots.QuadrupedParams()
-    assert cfgmod.gripper_params(cfg) == robots.GripperParams()
+    for classes in cfgmod.SECTIONS.values():
+        for cls in classes:
+            assert cfgmod.build(cfg, cls) == cls()
 
 
 def test_bundled_calibration_file_is_current():

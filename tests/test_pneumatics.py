@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pneusoft import config, verify
 from pneusoft import pneumatics as pneu
 
 
@@ -131,33 +132,12 @@ def test_control_trace_csv(tmp_path):
     assert len(lines) == len(trace.time_s) + 1
 
 
-def _brute_extremes(freq, duty, supply, tau_fill, tau_vent,
-                    dt=1e-4, cycles=40):
-    """Steady-state extremes by stepping a plant sample by sample."""
-    plant = pneu.PneumaticPlant(supply_kpa=supply, tau_fill_s=tau_fill,
-                                tau_vent_s=tau_vent)
-    ctl = pneu.DutyCycleController(frequency_hz=freq, duty=duty)
-    period = 1.0 / freq
-    n = int(round(period / dt))
-    lo, hi = math.inf, -math.inf
-    t = 0.0
-    for cycle in range(cycles):
-        for k in range(n):
-            inlet, vent = ctl.command(t, plant.pressure_kpa)
-            plant.step(period / n, inlet, vent)
-            t += period / n
-            if cycle == cycles - 1:
-                lo = min(lo, plant.pressure_kpa)
-                hi = max(hi, plant.pressure_kpa)
-    return lo, hi
-
-
 def test_cycle_amplitude_matches_brute_force_stepping():
-    lo, hi = pneu.cycle_amplitude(0.8, supply_kpa=40.0,
-                                  tau_fill_s=0.3, tau_vent_s=0.3)
-    blo, bhi = _brute_extremes(0.8, 0.5, 40.0, 0.3, 0.3)
-    assert hi == pytest.approx(bhi, rel=1e-3)
-    assert lo == pytest.approx(blo, rel=1e-3)
+    # the balanced-valve case of the one plant-stepping check
+    cfg = config.defaults()
+    cfg["earthworm.tau_fill_s"] = cfg["earthworm.tau_vent_s"] = 0.3
+    result = verify.check_valve_swing(cfg)
+    assert result.passed, result.detail
 
 
 def test_cycle_amplitude_limits():
@@ -250,6 +230,14 @@ def test_thermostat_warns_when_setpoint_unreachable():
     with pytest.warns(UserWarning, match="unreachable|equilibrium"):
         trace = pneu.run_bath(bath, ctl, duration_s=10.0, dt_s=0.1)
     assert max(trace.temp_c) < 65.0
+
+
+def test_thermostat_band_stays_below_pump_limit():
+    for setpoint, band in ((69.0, 1.0), (90.0, 1.0), (65.0, math.nan),
+                           (math.nan, 1.0)):
+        with pytest.raises(ValueError, match="pump"):
+            pneu.ThermostatController(setpoint_c=setpoint, band_c=band)
+    pneu.ThermostatController(setpoint_c=68.9, band_c=1.0)  # just below
 
 
 def test_bath_trace_csv(tmp_path):

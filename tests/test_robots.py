@@ -117,27 +117,22 @@ def test_earthworm_validation():
 # ------------------------------------------------------------- quadruped
 
 def test_bend_angle_interpolates_measured_table():
-    assert robots.quadruped_bend_angle(QUAD, 0.0) == 0.0
-    for p, ang in zip(QUAD.bend_table_kpa, QUAD.bend_table_deg):
-        assert robots.quadruped_bend_angle(QUAD, p) == pytest.approx(ang)
-    mid = robots.quadruped_bend_angle(QUAD, 25.0)
-    assert QUAD.bend_table_deg[2] < mid < QUAD.bend_table_deg[3]
+    assert robots.quadruped_bend_angle(0.0) == 0.0
+    for p, ang in zip(robots.QUADRUPED_BEND_TABLE_KPA,
+                      robots.QUADRUPED_BEND_TABLE_DEG):
+        assert robots.quadruped_bend_angle(p) == pytest.approx(ang)
+    mid = robots.quadruped_bend_angle(25.0)
+    assert robots.QUADRUPED_BEND_TABLE_DEG[2] < mid \
+        < robots.QUADRUPED_BEND_TABLE_DEG[3]
     with pytest.raises(ValueError):
-        robots.quadruped_bend_angle(QUAD, -1.0)
+        robots.quadruped_bend_angle(-1.0)
 
 
-def test_bend_table_validation():
-    with pytest.raises(ValueError):
-        robots.QuadrupedParams(bend_table_kpa=(0.0, 10.0),
-                               bend_table_deg=(0.0,))
-    with pytest.raises(ValueError):
-        robots.QuadrupedParams(bend_table_kpa=(10.0, 0.0),
-                               bend_table_deg=(1.0, 2.0))
-    with pytest.raises(ValueError):
-        robots.QuadrupedParams(bend_table_kpa=(0.0, 10.0),
-                               bend_table_deg=(2.0, 1.0))
-    with pytest.raises(ValueError):
-        robots.QuadrupedParams(cycle_s=0.0)
+def test_quadruped_validation():
+    for bad in ({"cycle_s": 0.0}, {"leg_length_mm": -1.0},
+                {"stall_load_g": 0.0}):
+        with pytest.raises(ValueError):
+            robots.QuadrupedParams(**bad)
 
 
 def test_quadruped_speed_anchor_and_monotonicity():
