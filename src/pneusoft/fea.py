@@ -17,14 +17,16 @@ station spacing, and the step doubles again after each success without
 passing the next station.
 
 One ``Model`` per solve owns the discretization, including the free-DOF
-numbering and one sparsity pattern on it: the sorted keys column * n +
-row of the free DOF pairs that share a tet, its CSC entries in order.
-The element tangents and the cavity face load stiffness are summed into
-that CSC data by one scatter, ``Model._matrix``, which drops the
-constrained DOFs, so they are the free-DOF block Newton factors and no
-sparse structure is built or sliced per iteration.  The element tangents
-reach it ``_BLOCK`` tets at a time, so the kernel's temporaries scale
-with the block and not with the mesh.
+numbering and one sparsity pattern on it: the CSC structure of the free
+DOF pairs that share a tet, and the position in its data of every entry
+of the element and face matrices.  Entries on a constrained DOF go to
+one extra slot past the data, which is dropped, so the matrices are the
+free-DOF block Newton factors and no sparse structure is built or sliced
+per iteration.  The element tangents reach the data ``_BLOCK`` tets at a
+time, so the kernel's temporaries scale with the block and not with the
+mesh.  The solve allocates one data array for its Newton matrices: each
+fresh factor zeroes it, adds the element tangents into it and subtracts
+the face load stiffness from it.
 
 The solve's Model numbers its free DOFs in fill order: the minimum-degree
 ordering of A^T + A, which depends on the sparsity pattern alone, is
@@ -143,9 +145,12 @@ class Solution:
 # ---------------------------------------------------------------- kernels
 
 _AX3 = np.arange(3)
-# tets per block of the element tangent kernel (32-128 time alike) and
-# of the search for its scatter positions
-_BLOCK = 64
+# tets per block of the element tangent kernel and of the search for its
+# scatter positions.  32-128 time alike; at 32 a block's temporaries
+# (about 0.5 MB) mostly fit the heap memory that the LUs between tangents
+# leave mapped: a bend-ramp tangent in a solve takes 130-150 minor page
+# faults, against about 360 at 64
+_BLOCK = 32
 _TRI_WN = TRI_W[:, None] * TRI_N                           # (q, 6)
 _TRI_DN_PERP = np.stack([TRI_DN[..., 1], -TRI_DN[..., 0]], axis=-1)  # (q, 6, 2)
 # eps_ijm laid out [j, (i, m)]
@@ -174,12 +179,11 @@ class Model:
     and ``wdndx`` = w dN_a/dX_K laid out (M, a, (q, K)).  The rest is
     built on first use, so force and energy calls need only those: the
     order, the CSC structure (``indptr``, ``indices``) on the numbered
-    DOF pairs that share a tet, ``tet_pos``, the position in its data of
-    every entry of the element matrices laid out (M, (a, i), (b, k)),
-    and the face-set data; positions are stored in the integer type of
-    ``indices``.  ``_matrix`` is the one scatter of both stiffness
-    layers: it adds the element matrices, block by block, into those
-    positions.
+    DOF pairs that share a tet and ``tet_pos``, the position in its data
+    of every entry of the element matrices laid out (M, (a, i), (b, k)),
+    all at once; and each face set's data on its own.  Positions are
+    stored in the integer type of ``indices``.  The sorted keys the
+    positions are searched in do not outlive a build.
     """
 
     def __init__(self, mesh, free=None):
@@ -203,70 +207,43 @@ class Model:
 
     @cached_property
     def _pattern(self):
-        """(dofs, keys): the model DOFs in model order and the sorted
-        distinct keys of the DOF pairs that share a tet under that order,
-        the stored entries in CSC order.  An in-place sort and a search
-        hold less memory than np.unique's inverse, and the keys are
-        renumbered into the fill order in place for the same reason."""
+        """(dofs, number, indptr, indices, tet_pos), built together on
+        first use.  The sorted keys column * n + row of the stored entries
+        come from the distinct node pairs of the tets and are renumbered
+        into the fill order in place (an in-place sort and a search hold
+        less memory than np.unique's inverse); the CSC structure and the
+        tet positions are read off them, and they are dropped."""
         dofs = np.flatnonzero(self.free)
         n = self.n_dof
         number = np.where(self.free, np.cumsum(self.free) - 1, -1)
-        keys = self._dof_keys(self.mesh.tets, number).ravel()
-        keys.sort()
-        keys = keys[np.append(True, keys[1:] != keys[:-1])]
-        keys = keys[:np.searchsorted(keys, n * n)]
+        keys = _pair_keys(self.mesh.tets, self.mesh.n_nodes, number, n)
         if self._fill_order:
             rank = _fill_rank(keys, n)
             dofs = dofs[np.argsort(rank)]
+            number[dofs] = np.arange(n)
             row = rank[keys % n]
             keys //= n
             keys = rank[keys]
             keys *= n
             keys += row
+            del row
             keys.sort()
-        return dofs, keys
-
-    @property
-    def dofs(self):
-        """The index 3 * node + axis of each model DOF, in model order."""
-        return self._pattern[0]
-
-    @cached_property
-    def number(self):
-        number = np.full(self.free.shape, -1)
-        number[self.dofs] = np.arange(self.n_dof)
-        return number
-
-    def _dof_keys(self, conn, number):
-        """Keys column * n_dof + row of the DOF pairs of the elements on
-        nodes ``conn`` (K, m) under the numbering ``number``, laid out
-        (K, (a, i), (b, k)); a pair with a DOF numbered -1 gets n_dof**2,
-        past every stored entry."""
-        n = self.n_dof
-        dof = number[3 * conn[..., None] + _AX3].reshape(len(conn), -1)
-        keys = dof[:, None, :] * n + dof[:, :, None]
-        keys[(dof[:, None, :] < 0) | (dof[:, :, None] < 0)] = n * n
-        return keys
-
-    @cached_property
-    def tet_pos(self):
-        tets, keys = self.mesh.tets, self._pattern[1]
-        pos = np.empty((len(tets), 30, 30), self.indices.dtype)
+        idx = np.int32 if max(keys.size, n) < 2 ** 31 else np.int64
+        tets = self.mesh.tets
+        tet_pos = np.empty((len(tets), 30, 30), idx)
         for lo in range(0, len(tets), _BLOCK):
-            pos[lo:lo + _BLOCK] = np.searchsorted(
-                keys, self._dof_keys(tets[lo:lo + _BLOCK], self.number))
-        return pos.ravel()
+            tet_pos[lo:lo + _BLOCK] = np.searchsorted(
+                keys, _dof_keys(tets[lo:lo + _BLOCK], number, n))
+        indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(idx)
+        keys %= n
+        return dofs, number, indptr, keys.astype(idx), tet_pos.ravel()
 
-    @cached_property
-    def indices(self):
-        keys = self._pattern[1]
-        idx = np.int32 if max(keys.size, self.n_dof) < 2 ** 31 else np.int64
-        return (keys % self.n_dof).astype(idx)
-
-    @cached_property
-    def indptr(self):
-        steps = np.arange(self.n_dof + 1) * self.n_dof
-        return np.searchsorted(self._pattern[1], steps).astype(self.indices.dtype)
+    dofs = property(lambda self: self._pattern[0], doc="The index 3 * node "
+                    "+ axis of each model DOF, in model order.")
+    number = property(lambda self: self._pattern[1])
+    indptr = property(lambda self: self._pattern[2])
+    indices = property(lambda self: self._pattern[3])
+    tet_pos = property(lambda self: self._pattern[4])
 
     def def_grad(self, u):
         """Deformation gradients at the quadrature points, (M, q, 3, 3)."""
@@ -281,40 +258,63 @@ class Model:
         return self._faces[name]
 
     def face_pos(self, name):
-        """Data positions of the load stiffness of face set ``name``,
-        laid out (K, (a, i), (b, k)); a pair with a constrained DOF goes
-        to position nnz, which ``_matrix`` drops.
+        """(stored, inverse): the distinct data positions the load
+        stiffness of face set ``name`` touches, ascending, and the index
+        into them of each entry of its face matrices laid out (K, (a, i),
+        (b, k)).  A pair with a constrained DOF goes to position nnz.
+        The stored keys are rebuilt from the CSC structure for the search.
 
         Raises ValueError for a free DOF pair outside the sparsity
         pattern, whose entries would otherwise be lost.
         """
         if name not in self._face_pos:
-            stored = self._pattern[1]
-            keys = self._dof_keys(self.faces(name)[0], self.number).ravel()
+            n, nnz = self.n_dof, len(self.indices)
+            # the stored keys and, at position nnz, the constrained key n**2
+            stored = np.repeat(np.arange(n + 1) * n,
+                               np.diff(self.indptr, append=nnz + 1))
+            stored[:nnz] += self.indices
+            keys = _dof_keys(self.faces(name)[0], self.number, n).ravel()
             pos = np.searchsorted(stored, keys)
-            if not np.all(np.append(stored, self.n_dof ** 2)[pos] == keys):
+            if not np.all(stored[pos] == keys):
                 raise ValueError("element node pairs fall outside the "
                                  "sparsity pattern of the tets; every face "
                                  "must lie on a tet")
-            self._face_pos[name] = pos.astype(self.indices.dtype)
+            del stored
+            stored, inverse = np.unique(pos, return_inverse=True)
+            idx = self.indices.dtype
+            self._face_pos[name] = stored.astype(idx), inverse.astype(idx)
         return self._face_pos[name]
 
-    def _matrix(self, pos, blocks):
-        """The (n_dof, n_dof) CSC matrix of the element matrices that
-        ``blocks`` yields in element order, each entry summed into its
-        position ``pos`` by ``np.add.at``; entries at position nnz (on a
-        constrained DOF) are dropped.  The adds run in element order
-        whatever the block sizes, so equal element matrices give bitwise
-        equal data."""
-        nnz = len(self.indices)
-        data = np.zeros(nnz + 1)
-        start = 0
-        for values in blocks:
-            stop = start + values.size
-            np.add.at(data, pos[start:stop], values.ravel())
-            start = stop
-        return sparse.csc_matrix((data[:nnz], self.indices, self.indptr),
+    def _matrix(self, data):
+        """The (n_dof, n_dof) CSC matrix on the first nnz entries of
+        ``data`` (length nnz + 1; the last entry collects the pairs with a
+        constrained DOF), sharing its memory."""
+        return sparse.csc_matrix((data[:-1], self.indices, self.indptr),
                                  shape=(self.n_dof, self.n_dof))
+
+
+def _dof_keys(conn, number, n):
+    """Keys column * n + row of the DOF pairs of the elements on nodes
+    ``conn`` (K, m) under the numbering ``number`` of n DOFs, laid out
+    (K, (a, i), (b, k)); a pair with a DOF numbered -1 gets n**2, past
+    every stored entry."""
+    dof = number[3 * conn[..., None] + _AX3].reshape(len(conn), -1)
+    keys = dof[:, None, :] * n + dof[:, :, None]
+    keys[(dof[:, None, :] < 0) | (dof[:, :, None] < 0)] = n * n
+    return keys
+
+
+def _pair_keys(tets, n_nodes, number, n):
+    """The sorted keys column * n + row of the pairs of numbered DOFs
+    (``number`` >= 0) on the distinct node pairs that share a tet."""
+    pairs = (tets[:, :, None] * n_nodes + tets[:, None, :]).ravel()
+    pairs.sort()
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+    col = number[3 * (pairs // n_nodes)[:, None] + _AX3][:, :, None]
+    row = number[3 * (pairs % n_nodes)[:, None] + _AX3][:, None, :]
+    keys = (col * n + row)[(col >= 0) & (row >= 0)]
+    keys.sort()
+    return keys
 
 
 def _fill_rank(keys, n):
@@ -354,7 +354,7 @@ def internal_force(mesh, params, u, *, model=None):
     return _node_sum(mesh.tets, fe, mesh.n_nodes)
 
 
-def tangent_stiffness(mesh, params, u, *, model=None):
+def tangent_stiffness(mesh, params, u, *, model=None, add_to=None):
     """Sparse consistent tangent d f_int / d u on the model's DOFs,
     (n_dof, n_dof) CSC; (3N, 3N) for ``Model(mesh)``.
 
@@ -366,45 +366,54 @@ def tangent_stiffness(mesh, params, u, *, model=None):
                                 + d_ik dN_a/dX . (c/2 C^-1 + S) . dN_b/dX ].
 
     The material is evaluated once at every quadrature point.  The
-    element matrices are then built ``_BLOCK`` tets at a time, each term
-    a batched matrix product over the block with the quadrature points
-    as the inner dimension, and each block is scattered into the model's
-    fixed sparsity pattern before the next is built, so no temporary
-    holds the 900 entries of every element and the matrix always has
-    the same structure.
+    element matrices are then built ``_BLOCK`` tets at a time in one
+    reused workspace, each term a batched matrix product over the block
+    with the quadrature points as the inner dimension, and each block is
+    added into the model's fixed sparsity pattern by ``np.add.at`` before
+    the next is built, so no temporary holds the 900 entries of every
+    element and the matrix always has the same structure.  The adds run
+    in element order whatever the block size, so equal element matrices
+    give bitwise equal data.
+
+    The data is a fresh array unless ``add_to``, a float array of length
+    nnz + 1 on the model's pattern, is given: the element matrices are
+    then added into it (its last entry collects the pairs with a
+    constrained DOF) and the returned matrix shares its memory.
     """
     model = model or Model(mesh)
     f = model.def_grad(u)
     s, cinv, (ma, mb, mc) = mat.lagrangian_tangent(params, f)
     n_q = model.detjw.shape[1]
     ft = f.swapaxes(-1, -2)
-    wa, wb, wc = ((model.detjw * m)[..., None, None] for m in (ma, mb, 0.5 * mc))
-    sc = s + (0.5 * mc)[..., None, None] * cinv
+    hc = 0.5 * mc
+    wa, wb, wc = ((model.detjw * m)[..., None, None] for m in (ma, mb, hc))
+    data = np.zeros(len(model.indices) + 1) if add_to is None else add_to
+    pos = model.tet_pos
+    work = np.empty((min(_BLOCK, len(f)), 30, 30))
 
     def rows(x):                                           # [(a, i), q]
         return x.transpose(0, 2, 3, 1).reshape(len(x), 30, -1)
 
-    def blocks():
-        for lo in range(0, len(f), _BLOCK):
-            e = slice(lo, lo + _BLOCK)
-            dndx = model.dndx[e]
-            g = dndx @ (cinv[e] @ ft[e])                   # [q, a, i]
-            h = dndx @ ft[e]
-            n_e = len(g)
-            ke = rows(np.concatenate([wa[e] * g - wb[e] * h, -wb[e] * g],
-                                     axis=1)) @ \
-                np.concatenate([g, h], axis=1).reshape(n_e, 2 * n_q, 30)
-            ke5 = ke.reshape(n_e, 10, 3, 10, 3)
-            # the c/2 g_bi g_ak term comes out as [(a, k), (b, i)]
-            ke5 += (rows(wc[e] * g) @ g.reshape(n_e, n_q, 30)).reshape(
-                n_e, 10, 3, 10, 3).transpose(0, 1, 4, 3, 2)
-            kg = model.wdndx[e] @ (sc[e] @ dndx.swapaxes(-1, -2)).reshape(
-                n_e, 3 * n_q, 10)
-            for i in range(3):
-                ke5[:, :, i, :, i] += kg
-            yield ke
-
-    return model._matrix(model.tet_pos, blocks())
+    for lo in range(0, len(f), _BLOCK):
+        e = slice(lo, lo + _BLOCK)
+        dndx = model.dndx[e]
+        g = dndx @ (cinv[e] @ ft[e])                       # [q, a, i]
+        h = dndx @ ft[e]
+        n_e = len(g)
+        left = rows(np.concatenate([wa[e] * g - wb[e] * h, -wb[e] * g], axis=1))
+        right = np.concatenate([g, h], axis=1).reshape(n_e, 2 * n_q, 30)
+        ke = np.matmul(left, right, out=work[:n_e])
+        ke5 = ke.reshape(n_e, 10, 3, 10, 3)
+        # the c/2 g_bi g_ak term comes out as [(a, k), (b, i)]
+        ke5 += (rows(wc[e] * g) @ g.reshape(n_e, n_q, 30)).reshape(
+            n_e, 10, 3, 10, 3).transpose(0, 1, 4, 3, 2)
+        sc = s[e] + hc[e, ..., None, None] * cinv[e]
+        kg = model.wdndx[e] @ (sc @ dndx.swapaxes(-1, -2)).reshape(
+            n_e, 3 * n_q, 10)
+        for i in range(3):
+            ke5[:, :, i, :, i] += kg
+        np.add.at(data, pos[900 * lo:900 * (lo + n_e)], ke.ravel())
+    return model._matrix(data)
 
 
 def _deformed_tangents(model, face_set, u):
@@ -427,12 +436,18 @@ def pressure_force(mesh, pressure_kpa, u, face_set="cavity", *, model=None):
 
 
 def pressure_stiffness(mesh, pressure_kpa, u, face_set="cavity", *,
-                       model=None):
+                       model=None, subtract_from=None):
     """Sparse d f_pressure / d u on the model's DOFs and the pattern of
     ``tangent_stiffness``; the load stiffness is unsymmetric.  With n =
     t0 x t1, dn = sum_b v_b x du_b for v_b = dN_b/deta t0 - dN_b/dxi t1,
     so K[a i, b m] = -p (V_ab x e_m)_i = -p eps_ijm V_ab,j with
     V_ab = sum_q w N_a v_b.
+
+    The face entries are summed per stored position first, in face
+    order.  The data is a fresh array unless ``subtract_from``, a data
+    array as ``tangent_stiffness`` takes for ``add_to``, is given: those
+    sums are then subtracted from it, and the returned matrix shares its
+    memory.
     """
     model = model or Model(mesh)
     _, t, _ = _deformed_tangents(model, face_set, u)
@@ -441,7 +456,15 @@ def pressure_stiffness(mesh, pressure_kpa, u, face_set="cavity", *,
     # -p eps_ijm V_j sits at [f, a, b, (i, m)]
     ke = (vab.reshape(-1, 3) @ (-p * _LEVI_CIVITA)).reshape(
         len(t), 6, 6, 3, 3).transpose(0, 1, 3, 2, 4)
-    return model._matrix(model.face_pos(face_set), (ke,))
+    stored, inverse = model.face_pos(face_set)
+    sums = np.bincount(inverse, weights=ke.ravel(), minlength=len(stored))
+    if subtract_from is None:
+        data = np.zeros(len(model.indices) + 1)
+        data[stored] = sums
+    else:
+        data = subtract_from
+        data[stored] -= sums
+    return model._matrix(data)
 
 
 # ----------------------------------------------------------------- solver
@@ -501,10 +524,13 @@ def _fallback_factor(kff, stats, cause):
         raise StepRejected(f"tangent factorization failed: {exc}") from None
 
 
-def _newton(params, model, face_set, pressure_kpa, u0, stats):
+def _newton(params, model, face_set, pressure_kpa, u0, stats, data):
     """Solve one pressure level from ``u0``, whose supported DOFs already
     hold their prescribed values; returns (u, iterations, residual
-    history, correction).
+    history, correction).  ``data``, a float array of length nnz + 1 that
+    the solve allocates once, holds the matrix of each fresh factor: it
+    is zeroed, the tangent is added into it and the load stiffness
+    subtracted from it.
 
     A state is accepted when its residual passes the ``REL_TOL`` test
     *and* the Newton correction that produced it has ||du|| <=
@@ -566,10 +592,12 @@ def _newton(params, model, face_set, pressure_kpa, u0, stats):
         while True:
             if fresh:
                 kff = lu = None            # free the old factor first
-                kff = tangent_stiffness(mesh, params, u, model=model)
+                data[:] = 0.0
+                kff = tangent_stiffness(mesh, params, u, model=model,
+                                        add_to=data)
                 if pressure_kpa > 0.0:
-                    kff.data -= pressure_stiffness(
-                        mesh, pressure_kpa, u, face_set, model=model).data
+                    pressure_stiffness(mesh, pressure_kpa, u, face_set,
+                                       model=model, subtract_from=data)
                 stats["factorizations"] += 1
                 try:
                     lu = splu(kff, **_FAST_LU)
@@ -644,6 +672,8 @@ def solve(mesh, params, case, prescribed=None):
     if case.target_pressure_kpa == 0.0 and prescribed is None:
         return sol
 
+    # the Newton matrix of every fresh factor of the solve
+    data = np.empty(len(model.indices) + 1)
     target = case.target_pressure_kpa
     dt0 = 1.0 / case.increments
     floor = dt0 / 2 ** MAX_BISECTIONS
@@ -662,7 +692,7 @@ def solve(mesh, params, case, prescribed=None):
             try:
                 un, iters, hist, correction = _newton(
                     params, model, case.pressure_set, trial * target,
-                    np.where(mask, trial * values, guess), stats)
+                    np.where(mask, trial * values, guess), stats, data)
             except StepRejected as exc:
                 dt *= 0.5
                 if dt < floor - 1e-15:

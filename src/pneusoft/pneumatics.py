@@ -260,11 +260,34 @@ class BathTrace:
                 fh.write(f"{t:.6g},{c:.6g},{int(h)}\n")
 
 
+def bath_peak_bound_c(plant, controller, dt_s):
+    """The highest temperature a heated step of ``dt_s`` can end at: the
+    heater is on only up to setpoint + band, and one step from there ends
+    here.  Unheated steps cool, so no sample of the thermostat loop
+    exceeds the larger of this and the starting temperature."""
+    t_on = plant.equilibrium_c(True)
+    decay = math.exp(-dt_s * plant.loss_w_per_c / plant.capacity_j_per_c)
+    return t_on - (t_on - controller.setpoint_c - controller.band_c) * decay
+
+
 def run_bath(plant, controller, duration_s, dt_s=0.1):
-    """Run the thermostat loop; warns when the setpoint is unreachable."""
+    """Run the thermostat loop; warns when the setpoint is unreachable.
+
+    Raises ValueError when the bath starts at the pump's limit or one
+    heated step of ``dt_s`` can carry it there (``bath_peak_bound_c``).
+    """
     if not all(math.isfinite(v) and v > 0 for v in (duration_s, dt_s)):
         raise ValueError("duration and time step must be positive and "
                          f"finite, got {duration_s} s and {dt_s} s")
+    if not plant.temp_c < PUMP_LIMIT_C:
+        raise ValueError(f"bath starts at {plant.temp_c:g} degC, at or above "
+                         f"the pump's {PUMP_LIMIT_C:g} degC limit")
+    bound = bath_peak_bound_c(plant, controller, dt_s)
+    if bound >= PUMP_LIMIT_C:
+        raise ValueError(
+            f"one heated step of {dt_s:g} s can carry the bath to "
+            f"{bound:.2f} degC, past the pump's {PUMP_LIMIT_C:g} degC limit; "
+            "use a shorter time step")
     reachable = plant.equilibrium_c(True)
     if controller.setpoint_c - controller.band_c > reachable:
         warnings.warn(

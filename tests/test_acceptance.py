@@ -18,6 +18,8 @@ from pneusoft import fea, material, pneumatics, robots, verify
 
 from conftest import coarse_mesh, record_criterion
 
+pytestmark = pytest.mark.slow
+
 PARAMS = material.HyperelasticParams(c10=0.24)
 
 

@@ -317,6 +317,10 @@ def test_robot_earthworm_sweep(tmp_path, capsys):
     ["control", "duty", "--duration", "1e300", "--sample-hz", "1e300"],
     # a thermostat band that reaches the pump's limit
     ["robot", "bath", "--duration", "3000", "--set", "bath.setpoint_c=90"],
+    # one heated step that carries the bath past the pump's limit
+    ["robot", "bath", "--duration", "3000", "--dt", "1000"],
+    ["robot", "bath", "--duration", "3000", "--dt", "100",
+     "--set", "bath.setpoint_c=68.5"],
 ])
 def test_bad_loop_lengths_exit_2(capsys, argv):
     assert cli.main(argv) == 2

@@ -167,7 +167,7 @@ def test_free_dof_model_gives_the_free_block():
     assert np.array_equal(model.free, free)
     assert model.n_dof == np.count_nonzero(free)
     assert np.array_equal(np.sort(model.dofs), np.flatnonzero(free))
-    assert np.any(model.face_pos("cavity") == len(model.indices))
+    assert model.face_pos("cavity")[0][-1] == len(model.indices)
     u = _random_displacement(mesh, 5, scale=0.01)
     for layer, args in ((fea.tangent_stiffness, (PARAMS, u)),
                         (fea.pressure_stiffness, (30.0, u))):
@@ -218,7 +218,7 @@ def test_force_and_energy_calls_build_no_pattern(pocket_coarse):
     fea.internal_force(pocket_coarse, PARAMS, u, model=model)
     fea.pressure_force(pocket_coarse, 30.0, u, model=model)
     fea.total_strain_energy(pocket_coarse, PARAMS, u, model=model)
-    pattern = {"indptr", "indices", "tet_pos"}
+    pattern = {"_pattern"}
     assert not pattern & set(vars(model))
     fea.tangent_stiffness(pocket_coarse, PARAMS, u, model=model)
     assert pattern <= set(vars(model))
@@ -466,6 +466,136 @@ def test_newton_factors_in_the_model_order(pocket_coarse, monkeypatch):
     sol = fea.solve(pocket_coarse, PARAMS, POCKET_RAMP)
     assert len(specs) == sum(rec["factorizations"] for rec in sol.log) > 0
     assert set(specs) == {"NATURAL"}
+
+
+def _spy_layers(monkeypatch, call):
+    """Route fea.tangent_stiffness and fea.pressure_stiffness through
+    ``call(layer, args, kwargs)``."""
+    for name in ("tangent_stiffness", "pressure_stiffness"):
+        layer = getattr(fea, name)
+
+        def spy(*args, layer=layer, **kwargs):
+            return call(layer, args, kwargs)
+
+        monkeypatch.setattr(fea, name, spy)
+
+
+def test_newton_calls_each_stiffness_layer_once_per_fresh_factor(
+        pocket_coarse, monkeypatch):
+    # Newton reaches both layers through the module, once per fresh
+    # factor, so wrapping them (as perfbench's spans do) sees every call
+    calls = []
+
+    def count(layer, args, kwargs):
+        calls.append(layer.__name__)
+        return layer(*args, **kwargs)
+
+    _spy_layers(monkeypatch, count)
+    sol = fea.solve(pocket_coarse, PARAMS, POCKET_RAMP)
+    fresh = sum(rec["factorizations"] - rec["fallbacks"] for rec in sol.log)
+    assert fresh > 2
+    assert calls == ["tangent_stiffness", "pressure_stiffness"] * fresh
+    # a call without Newton's array gets a matrix of its own
+    model = fea.Model(pocket_coarse)
+    u = _random_displacement(pocket_coarse, 8)
+    for layer, args in ((fea.tangent_stiffness, (PARAMS, u)),
+                        (fea.pressure_stiffness, (30.0, u))):
+        a = layer(pocket_coarse, *args, model=model)
+        b = layer(pocket_coarse, *args, model=model)
+        assert not np.shares_memory(a.data, b.data)
+        assert np.array_equal(a.data, b.data)
+
+
+def test_newton_assembly_allocates_no_matrix_after_the_first_factor(
+        pocket_coarse, monkeypatch):
+    # every fresh factor of a solve is assembled in the one array the
+    # solve allocates: after the first factor, neither stiffness layer
+    # allocates as much as an array of nnz float64 entries
+    peaks = []
+
+    def trace(layer, args, kwargs):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = layer(*args, **kwargs)
+        peaks.append((layer.__name__, tracemalloc.get_traced_memory()[1] - base,
+                      8 * len(kwargs["model"].indices)))
+        return out
+
+    _spy_layers(monkeypatch, trace)
+    tracemalloc.start()
+    try:
+        fea.solve(pocket_coarse, PARAMS, POCKET_RAMP)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) > 4
+    for name, peak, matrix in peaks[2:]:
+        assert peak < matrix, name
+
+
+def _array_bytes(obj, seen):
+    """Bytes of the numpy arrays reachable from ``obj`` through dicts,
+    lists and tuples, each array counted once."""
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if not isinstance(obj, (list, tuple)):
+        return 0
+    return sum(_array_bytes(x, seen) for x in obj)
+
+
+def test_solved_model_keeps_no_key_array(pocket_coarse, monkeypatch):
+    # after a solve the Model holds its reference data, DOF maps, CSC
+    # structure, scatter positions and face data, and no array of keys;
+    # face positions still resolve for any face set and refuse a face
+    # off the tet pattern
+    tets = pocket_coarse.tets
+    bad = pocket_coarse.face_set("cavity")[:1].copy()
+    bad[0, 0] = int(np.argmax(np.linalg.norm(
+        pocket_coarse.nodes - pocket_coarse.nodes[bad[0, 1]], axis=1)))
+    mesh = meshmod.Mesh(nodes=pocket_coarse.nodes, tets=tets,
+                        node_sets=pocket_coarse.node_sets,
+                        face_sets={"cavity": pocket_coarse.face_set("cavity"),
+                                   "tets": tets[::5][:, [0, 1, 2, 4, 5, 6]],
+                                   "bad": bad})
+    models = []
+
+    def record(layer, args, kwargs):
+        models.append(kwargs["model"])
+        return layer(*args, **kwargs)
+
+    _spy_layers(monkeypatch, record)
+    fea.solve(mesh, PARAMS, POCKET_RAMP)
+    model = models[0]
+    assert all(m is model for m in models)
+    stored, _ = model.face_pos("cavity")            # as the solve left it
+    m, n3, n, nnz = len(tets), 3 * mesh.n_nodes, model.n_dof, len(model.indices)
+    n_q, k = model.detjw.shape[1], len(mesh.face_set("cavity"))
+    budget = (m * n_q * (2 * 30 + 1) * 8             # dndx, wdndx, detjw
+              + n3 * (1 + 8) + n * 8                 # free, number, dofs
+              + (n + 1 + nnz + 900 * m) * 4          # indptr, indices, tet_pos
+              + k * (6 + model.faces("cavity")[1].shape[1]) * 8
+              + (stored.size + 324 * k) * 4)         # face positions
+    total = _array_bytes({key: value for key, value in vars(model).items()
+                          if key != "mesh"}, set())
+    assert total <= budget < total + 8 * nnz
+    for name in ("cavity", "tets"):
+        faces = mesh.face_set(name)
+        stored, inverse = model.face_pos(name)
+        pos = stored[inverse].reshape(len(faces), 18, 18)
+        dof = model.number[3 * faces[..., None] + np.arange(3)].reshape(
+            len(faces), 1, 18)
+        col, row = np.broadcast_arrays(dof, dof.swapaxes(1, 2))
+        free = (col >= 0) & (row >= 0)
+        assert np.all(pos[~free] == nnz)
+        pos, col, row = pos[free], col[free], row[free]
+        assert np.all(model.indices[pos] == row), name
+        assert np.all((model.indptr[col] <= pos) & (pos < model.indptr[col + 1]))
+    with pytest.raises(ValueError, match="sparsity pattern"):
+        model.face_pos("bad")
 
 
 def test_fill_order_keeps_the_minimum_degree_fill(monkeypatch):

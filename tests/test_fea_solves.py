@@ -9,6 +9,8 @@ from pneusoft import fea, material, verify
 
 from conftest import coarse_mesh
 
+pytestmark = pytest.mark.slow
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 

@@ -240,6 +240,20 @@ def test_thermostat_band_stays_below_pump_limit():
     pneu.ThermostatController(setpoint_c=68.9, band_c=1.0)  # just below
 
 
+def test_bath_peak_bound_holds_over_time_steps(monkeypatch):
+    # the step bound sits at or above the simulated peak at every dt, and
+    # close to it, also where it passes the pump's limit and run_bath
+    # refuses the loop
+    monkeypatch.setattr(pneu, "PUMP_LIMIT_C", math.inf)
+    for dt in (0.1, 1.0, 10.0, 100.0, 1000.0):
+        ctl = pneu.ThermostatController()
+        bound = pneu.bath_peak_bound_c(pneu.BathPlant(), ctl, dt)
+        trace = pneu.run_bath(pneu.BathPlant(), ctl, duration_s=20000.0,
+                              dt_s=dt)
+        assert trace.temp_c.max() <= bound, dt
+        assert bound - trace.temp_c.max() < 2.5, dt
+
+
 def test_bath_trace_csv(tmp_path):
     bath = pneu.BathPlant()
     ctl = pneu.ThermostatController()
@@ -263,3 +277,9 @@ def test_run_bath_validation():
         pneu.run_bath(bath, ctl, duration_s=1.0, dt_s=math.inf)
     with pytest.raises(ValueError, match="samples"):
         pneu.run_bath(bath, ctl, duration_s=1e13)
+    # a bath that starts at the pump's limit, or one heated step that
+    # can carry it there
+    with pytest.raises(ValueError, match="pump"):
+        pneu.run_bath(pneu.BathPlant(temp_c=70.0), ctl, duration_s=1.0)
+    with pytest.raises(ValueError, match="pump"):
+        pneu.run_bath(bath, ctl, duration_s=3000.0, dt_s=1000.0)
