@@ -18,15 +18,16 @@ passing the next station.
 
 One ``Model`` per solve owns the discretization, including the free-DOF
 numbering and one sparsity pattern on it: the CSC structure of the free
-DOF pairs that share a tet, and the position in its data of every entry
-of the element and face matrices.  Entries on a constrained DOF go to
-one extra slot past the data, which is dropped, so the matrices are the
-free-DOF block Newton factors and no sparse structure is built or sliced
-per iteration.  The element tangents reach the data ``_BLOCK`` tets at a
-time, so the kernel's temporaries scale with the block and not with the
-mesh.  The solve allocates one data array for its Newton matrices: each
-fresh factor zeroes it, adds the element tangents into it and subtracts
-the face load stiffness from it.
+DOF pairs that share a tet, built with scipy's sparse algebra from the
+node adjacency, and the position in its data of every entry of the
+element and face matrices, found by one search.  Entries on a
+constrained DOF go to one extra slot past the data, which is dropped, so
+the matrices are the free-DOF block Newton factors and no sparse
+structure is built or sliced per iteration.  The element tangents reach
+the data ``_BLOCK`` tets at a time, so the kernel's temporaries scale
+with the block and not with the mesh.  The solve allocates one data
+array for its Newton matrices: each fresh factor zeroes it, adds the
+element tangents into it and subtracts the face load stiffness from it.
 
 The solve's Model numbers its free DOFs in fill order: the minimum-degree
 ordering of A^T + A, which depends on the sparsity pattern alone, is
@@ -46,6 +47,7 @@ Units: mm, N, MPa internally; pressures cross the API in kPa.
 
 import logging
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -121,9 +123,10 @@ class LoadCase:
         if self.target_pressure_kpa < 0:
             raise ValueError("vacuum loading is not supported; "
                              f"got {self.target_pressure_kpa} kPa")
-        if not 1 <= self.increments <= MAX_INCREMENTS:
-            raise ValueError(f"increments must be in 1..{MAX_INCREMENTS}, "
-                             f"got {self.increments}")
+        if not isinstance(self.increments, numbers.Integral) or \
+                not 1 <= self.increments <= MAX_INCREMENTS:
+            raise ValueError("increments must be an integer in "
+                             f"1..{MAX_INCREMENTS}, got {self.increments!r}")
 
 
 @dataclass
@@ -145,11 +148,11 @@ class Solution:
 # ---------------------------------------------------------------- kernels
 
 _AX3 = np.arange(3)
-# tets per block of the element tangent kernel and of the search for its
-# scatter positions.  32-128 time alike; at 32 a block's temporaries
-# (about 0.5 MB) mostly fit the heap memory that the LUs between tangents
-# leave mapped: a bend-ramp tangent in a solve takes 130-150 minor page
-# faults, against about 360 at 64
+# tets per block of the element tangent kernel, and elements per block of
+# the search for tet and face positions.  32-128 time alike; at 32 a
+# block's temporaries (about 0.5 MB) mostly fit the heap memory that the
+# LUs between tangents leave mapped: a bend-ramp tangent in a solve takes
+# 130-150 minor page faults, against about 360 at 64
 _BLOCK = 32
 _TRI_WN = TRI_W[:, None] * TRI_N                           # (q, 6)
 _TRI_DN_PERP = np.stack([TRI_DN[..., 1], -TRI_DN[..., 0]], axis=-1)  # (q, 6, 2)
@@ -181,9 +184,11 @@ class Model:
     order, the CSC structure (``indptr``, ``indices``) on the numbered
     DOF pairs that share a tet and ``tet_pos``, the position in its data
     of every entry of the element matrices laid out (M, (a, i), (b, k)),
-    all at once; and each face set's data on its own.  Positions are
-    stored in the integer type of ``indices``.  The sorted keys the
-    positions are searched in do not outlive a build.
+    all at once; and each face set's data on its own.  The structure is
+    the node adjacency (boolean tet-node incidence times its transpose)
+    in 3 x 3 DOF blocks, sliced to the numbered DOFs and permuted into
+    model order; ``_positions`` finds the tet and face positions, stored
+    in the integer type of ``indices``, without keeping its keys.
     """
 
     def __init__(self, mesh, free=None):
@@ -208,35 +213,30 @@ class Model:
     @cached_property
     def _pattern(self):
         """(dofs, number, indptr, indices, tet_pos), built together on
-        first use.  The sorted keys column * n + row of the stored entries
-        come from the distinct node pairs of the tets and are renumbered
-        into the fill order in place (an in-place sort and a search hold
-        less memory than np.unique's inverse); the CSC structure and the
-        tet positions are read off them, and they are dropped."""
-        dofs = np.flatnonzero(self.free)
-        n = self.n_dof
-        number = np.where(self.free, np.cumsum(self.free) - 1, -1)
-        keys = _pair_keys(self.mesh.tets, self.mesh.n_nodes, number, n)
-        if self._fill_order:
-            rank = _fill_rank(keys, n)
-            dofs = dofs[np.argsort(rank)]
-            number[dofs] = np.arange(n)
-            row = rank[keys % n]
-            keys //= n
-            keys = rank[keys]
-            keys *= n
-            keys += row
-            del row
-            keys.sort()
-        idx = np.int32 if max(keys.size, n) < 2 ** 31 else np.int64
+        first use from the boolean pattern of the numbered DOF pairs on
+        adjacent nodes, permuted into the fill order with a mask."""
         tets = self.mesh.tets
-        tet_pos = np.empty((len(tets), 30, 30), idx)
-        for lo in range(0, len(tets), _BLOCK):
-            tet_pos[lo:lo + _BLOCK] = np.searchsorted(
-                keys, _dof_keys(tets[lo:lo + _BLOCK], number, n))
-        indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(idx)
-        keys %= n
-        return dofs, number, indptr, keys.astype(idx), tet_pos.ravel()
+        inc = sparse.csr_matrix(
+            (np.ones(tets.size, bool), tets.ravel(),
+             np.arange(0, tets.size + 1, tets.shape[1])),
+            shape=(len(tets), self.mesh.n_nodes))
+        a = sparse.kron(inc.T @ inc, np.ones((3, 3), bool)).tocsr()
+        dofs = np.flatnonzero(self.free)
+        number = np.where(self.free, np.cumsum(self.free) - 1, -1)
+        a = a[dofs][:, dofs]
+        if self._fill_order:
+            order = np.argsort(_fill_rank(a))
+            dofs = dofs[order]
+            number[dofs] = np.arange(self.n_dof)
+            a = a[order][:, order]
+        a = a.tocsc()
+        a.sort_indices()
+        idx = np.int32 if max(a.nnz, self.n_dof) < 2 ** 31 else np.int64
+        indptr, indices = (x.astype(idx, copy=False)
+                           for x in (a.indptr, a.indices))
+        del a                               # its data, before the search
+        return (dofs, number, indptr, indices,
+                _positions(indptr, indices, number, tets))
 
     dofs = property(lambda self: self._pattern[0], doc="The index 3 * node "
                     "+ axis of each model DOF, in model order.")
@@ -262,24 +262,13 @@ class Model:
         stiffness of face set ``name`` touches, ascending, and the index
         into them of each entry of its face matrices laid out (K, (a, i),
         (b, k)).  A pair with a constrained DOF goes to position nnz.
-        The stored keys are rebuilt from the CSC structure for the search.
 
         Raises ValueError for a free DOF pair outside the sparsity
         pattern, whose entries would otherwise be lost.
         """
         if name not in self._face_pos:
-            n, nnz = self.n_dof, len(self.indices)
-            # the stored keys and, at position nnz, the constrained key n**2
-            stored = np.repeat(np.arange(n + 1) * n,
-                               np.diff(self.indptr, append=nnz + 1))
-            stored[:nnz] += self.indices
-            keys = _dof_keys(self.faces(name)[0], self.number, n).ravel()
-            pos = np.searchsorted(stored, keys)
-            if not np.all(stored[pos] == keys):
-                raise ValueError("element node pairs fall outside the "
-                                 "sparsity pattern of the tets; every face "
-                                 "must lie on a tet")
-            del stored
+            pos = _positions(self.indptr, self.indices, self.number,
+                             self.faces(name)[0])
             stored, inverse = np.unique(pos, return_inverse=True)
             idx = self.indices.dtype
             self._face_pos[name] = stored.astype(idx), inverse.astype(idx)
@@ -293,41 +282,45 @@ class Model:
                                  shape=(self.n_dof, self.n_dof))
 
 
-def _dof_keys(conn, number, n):
-    """Keys column * n + row of the DOF pairs of the elements on nodes
-    ``conn`` (K, m) under the numbering ``number`` of n DOFs, laid out
-    (K, (a, i), (b, k)); a pair with a DOF numbered -1 gets n**2, past
-    every stored entry."""
-    dof = number[3 * conn[..., None] + _AX3].reshape(len(conn), -1)
-    keys = dof[:, None, :] * n + dof[:, :, None]
-    keys[(dof[:, None, :] < 0) | (dof[:, :, None] < 0)] = n * n
-    return keys
+def _positions(indptr, indices, number, conn):
+    """The data positions in the CSC structure (``indptr``, ``indices``)
+    of the entries of the element matrices on nodes ``conn`` (K, m),
+    laid out (K, (a, i), (b, k)) and flattened, in the integer type of
+    ``indices``; a pair with a DOF that ``number`` maps to -1 goes to
+    position nnz.  The keys column * n + row of the stored entries are
+    rebuilt for the search, ``_BLOCK`` elements at a time.
+
+    Raises ValueError for a numbered DOF pair outside the structure."""
+    n, nnz = len(indptr) - 1, len(indices)
+    # the stored keys and, at position nnz, the constrained key n**2
+    stored = np.repeat(np.arange(n + 1) * n, np.diff(indptr, append=nnz + 1))
+    stored[:nnz] += indices
+    width = 3 * conn.shape[1]
+    pos = np.empty((len(conn), width ** 2), indices.dtype)
+    for lo in range(0, len(conn), _BLOCK):
+        col = number[3 * conn[lo:lo + _BLOCK, :, None] + _AX3].reshape(
+            -1, 1, width)
+        row = col.swapaxes(1, 2)
+        keys = (col * n + row).ravel()
+        keys[((col < 0) | (row < 0)).ravel()] = n * n
+        found = np.searchsorted(stored, keys)
+        if not np.array_equal(stored[found], keys):
+            raise ValueError("element node pairs fall outside the sparsity "
+                             "pattern of the tets; every face must lie on "
+                             "a tet")
+        pos[lo:lo + _BLOCK] = found.reshape(-1, width ** 2)
+    return pos.ravel()
 
 
-def _pair_keys(tets, n_nodes, number, n):
-    """The sorted keys column * n + row of the pairs of numbered DOFs
-    (``number`` >= 0) on the distinct node pairs that share a tet."""
-    pairs = (tets[:, :, None] * n_nodes + tets[:, None, :]).ravel()
-    pairs.sort()
-    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
-    col = number[3 * (pairs // n_nodes)[:, None] + _AX3][:, :, None]
-    row = number[3 * (pairs % n_nodes)[:, None] + _AX3][:, None, :]
-    keys = (col * n + row)[(col >= 0) & (row >= 0)]
-    keys.sort()
-    return keys
-
-
-def _fill_rank(keys, n):
+def _fill_rank(pattern):
     """rank[j], the place of DOF j in SuperLU's minimum-degree order of
-    A^T + A on the (n, n) pattern of the sorted keys column * n + row.
-    That order depends on the pattern alone, so the one read off an
-    incomplete factor of a diagonally dominant matrix on it is the one
-    the fast LU would compute for every tangent."""
-    pattern = sparse.csc_matrix(
-        (np.ones(keys.size), keys % n,
-         np.searchsorted(keys, np.arange(n + 1) * n)), shape=(n, n))
-    pattern.setdiag(n)
-    return spilu(pattern, **_FILL_ORDER).perm_c.astype(np.int64)
+    A^T + A on the boolean (n, n) ``pattern``.  That order depends on the
+    pattern alone, so the one read off an incomplete factor of a
+    diagonally dominant matrix on it is the one the fast LU would
+    compute for every tangent."""
+    a = sparse.csc_matrix(pattern, dtype=float)
+    a.setdiag(a.shape[0])
+    return spilu(a, **_FILL_ORDER).perm_c.astype(np.int64)
 
 
 def _node_sum(conn, values, n_nodes):
@@ -485,9 +478,12 @@ _RIGID_MODES = ("x", "y", "z", "rot-x", "rot-y", "rot-z")
 
 
 def _check_supports(mesh, mask):
-    """Raise SolveError when the constrained DOFs ``mask`` leave the
-    tangent singular: a rigid-body mode free, or a free DOF of a node
-    that no tet uses."""
+    """Raise SolveError when the constrained DOFs ``mask`` leave nothing
+    to solve or the tangent singular: a rigid-body mode free, or a free
+    DOF of a node that no tet uses."""
+    if mask.all():
+        raise SolveError("load case constrains every DOF; there is nothing "
+                         "to solve")
     unused = np.bincount(mesh.tets.ravel(), minlength=mesh.n_nodes) == 0
     orphans = np.flatnonzero(unused & ~mask.all(axis=1))
     if orphans.size:
@@ -643,15 +639,15 @@ def solve(mesh, params, case, prescribed=None):
     secant while only two exist, the reference state counting as one);
     a rejected attempt halves the step.  Returns a Solution whose first
     increment is the reference state and which has a row at every
-    station of ``case``.  Raises SolveError when the supports leave a
-    rigid-body mode or an element-free node unconstrained, or when an
-    increment cannot be converged even after ``MAX_BISECTIONS`` halvings.
-    Accepted increments, bisections and factorization fallbacks are
-    logged at INFO on ``pneusoft.fea``.  Each ``Solution.log`` record
-    holds the pressure, the Newton iterations and residuals of the
-    accepted increment, its ``correction`` ||du|| / ||u|| (the size of
-    its last Newton step, 0.0 for the reference state), and the
-    factorizations and fallbacks spent on it, rejected attempts
+    station of ``case``.  Raises SolveError when the supports constrain
+    every DOF or leave a rigid-body mode or an element-free node
+    unconstrained, or when an increment cannot be converged even after
+    ``MAX_BISECTIONS`` halvings.  Accepted increments, bisections and
+    factorization fallbacks are logged at INFO on ``pneusoft.fea``.  Each
+    ``Solution.log`` record holds the pressure, the Newton iterations and
+    residuals of the accepted increment, its ``correction`` ||du|| / ||u||
+    (the size of its last Newton step, 0.0 for the reference state), and
+    the factorizations and fallbacks spent on it, rejected attempts
     included.
     """
     mask = _fixed_mask(mesh, case)

@@ -61,6 +61,14 @@ def with_orphan_node(mesh):
                         node_sets=mesh.node_sets, face_sets=mesh.face_sets)
 
 
+def fully_clamped(mesh):
+    """Copy of ``mesh`` whose ``fixed`` node set holds every node."""
+    return meshmod.Mesh(nodes=mesh.nodes, tets=mesh.tets,
+                        node_sets={**mesh.node_sets,
+                                   "fixed": np.arange(mesh.n_nodes)},
+                        face_sets=mesh.face_sets)
+
+
 def rotation(axis, angle_rad):
     """Rotation matrix about a 3-vector axis (Rodrigues form)."""
     k = np.asarray(axis, dtype=float)

@@ -13,7 +13,7 @@ import pytest
 from pneusoft import cli, config as cfgmod, geometry, verify
 from pneusoft import mesh as meshmod
 
-from conftest import coarse_mesh, with_orphan_node
+from conftest import coarse_mesh, fully_clamped, with_orphan_node
 
 
 @pytest.fixture(autouse=True)
@@ -198,6 +198,18 @@ def test_solve_orphan_node_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert f"nodes [{m.n_nodes}]" in err
+
+
+def test_solve_fully_constrained_mesh_exits_1(tmp_path, capsys):
+    msh = tmp_path / "clamped.msh"
+    meshmod.save_mesh(fully_clamped(coarse_mesh("pocket", 2.5)), msh)
+    out = tmp_path / "s.csv"
+    rc = cli.main(["solve", "--mesh", str(msh), "--pressure", "10",
+                   "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "error: load case constrains every DOF")
+    assert not out.exists()
 
 
 def test_solve_mesh_with_impossible_count_exits_2(tmp_path, capsys):

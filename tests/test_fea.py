@@ -15,7 +15,8 @@ from scipy.sparse.linalg import spilu, splu
 from pneusoft import fea, geometry, material
 from pneusoft import mesh as meshmod
 
-from conftest import coarse_mesh, lagrangian_tensor, rotation, with_orphan_node
+from conftest import (coarse_mesh, fully_clamped, lagrangian_tensor, rotation,
+                      with_orphan_node)
 
 PARAMS = material.HyperelasticParams(c10=0.24)
 
@@ -167,6 +168,17 @@ def test_free_dof_model_gives_the_free_block():
     assert np.array_equal(model.free, free)
     assert model.n_dof == np.count_nonzero(free)
     assert np.array_equal(np.sort(model.dofs), np.flatnonzero(free))
+    for m in (full, model):                         # node and fill order
+        # the stored entries are exactly the numbered DOF pairs that
+        # share a tet, each once and sorted within its column
+        pairs = set()
+        for tet in mesh.tets:
+            dof = [d for d in m.number[3 * tet[:, None] + np.arange(3)].ravel()
+                   if d >= 0]
+            pairs.update((c, r) for c in dof for r in dof)
+        col = np.repeat(np.arange(m.n_dof), np.diff(m.indptr))
+        assert set(zip(col.tolist(), m.indices.tolist())) == pairs
+        assert np.all(np.diff(col * m.n_dof + m.indices) > 0)
     assert model.face_pos("cavity")[0][-1] == len(model.indices)
     u = _random_displacement(mesh, 5, scale=0.01)
     for layer, args in ((fea.tangent_stiffness, (PARAMS, u)),
@@ -356,6 +368,8 @@ def test_load_case_validation():
         fea.LoadCase(target_pressure_kpa=5.0, increments=0)
     with pytest.raises(ValueError, match="increments"):
         fea.LoadCase(target_pressure_kpa=5.0, increments=fea.MAX_INCREMENTS + 1)
+    with pytest.raises(ValueError, match="increments must be an integer"):
+        fea.LoadCase(target_pressure_kpa=10.0, increments=2.5)
     assert fea.LoadCase(5.0, increments=fea.MAX_INCREMENTS).increments \
         == fea.MAX_INCREMENTS
     for target in (float("nan"), float("inf")):
@@ -375,6 +389,17 @@ def test_solve_rejects_unconstrained_case(pocket_coarse):
     case = fea.LoadCase(target_pressure_kpa=10.0, fixed_set=None)
     with pytest.raises(fea.SolveError, match="unconstrained"):
         fea.solve(pocket_coarse, PARAMS, case)
+
+
+def test_solve_rejects_fully_constrained_case(pocket_coarse, monkeypatch):
+    # refused before the sparsity pattern, which would have no DOFs
+    def no_pattern(*args):
+        raise AssertionError("built the pattern of a fully constrained case")
+
+    monkeypatch.setattr(fea, "_fill_rank", no_pattern)
+    case = fea.LoadCase(target_pressure_kpa=10.0, increments=1)
+    with pytest.raises(fea.SolveError, match="constrains every DOF"):
+        fea.solve(fully_clamped(pocket_coarse), PARAMS, case)
 
 
 def test_solve_rejects_free_rigid_modes(small_cube):
