@@ -239,10 +239,8 @@ def _sweep(text):
 def _write_rows(path, header, rows):
     if not path:
         return
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.6g}" for v in row) + "\n")
+    np.savetxt(path, rows, fmt="%.6g", delimiter=",", header=header,
+               comments="")
     log.info("wrote %s", path)
 
 

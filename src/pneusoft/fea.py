@@ -793,9 +793,7 @@ def solution_table(mesh, solution, node_set=None):
 def write_solution_csv(mesh, solution, path, node_set=None):
     """Write ``solution_table`` as CSV to ``path``; returns its rows."""
     rows = solution_table(mesh, solution, node_set)
-    with open(path, "w", newline="") as fh:
-        fh.write("increment,pressure_kPa,elongation_mm,bend_angle_deg,"
-                 "max_displacement_mm\n")
-        for i, p, e, b, d in rows:
-            fh.write(f"{i},{p:.6g},{e:.6g},{b:.6g},{d:.6g}\n")
+    np.savetxt(path, rows, fmt="%.6g", delimiter=",", comments="",
+               header="increment,pressure_kPa,elongation_mm,bend_angle_deg,"
+                      "max_displacement_mm")
     return rows

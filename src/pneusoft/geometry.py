@@ -9,7 +9,8 @@ for a straight-edge midpoint, whose ends are h // 2 and (h + 1) // 2
 (theta wraps on the tube).  Tets, boundary TRI6 faces and node sets
 are index arithmetic on that grid; corners are numbered in grid order,
 then mid-nodes by the (min, max) ids of their ends.  The same machinery
-drives three actuator archetypes and three test fixtures:
+drives three actuator archetypes and three test fixtures, each built
+from only the dimensions ActuatorSpec lets its kind read:
 
     linear    square bellows tube, elongates under pressure
     bending1  long thin-walled chambered bender on a strain-limiting
@@ -28,7 +29,7 @@ surface, oriented out of the solid.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -88,15 +89,18 @@ class ActuatorSpec:
     Lengths in mm.  ``width``/``height`` are the outer cross-section
     (width doubles as outer diameter for ``tube``); ``wall`` is the
     side, top and chamber-divider wall, ``strain_wall`` the thicker
-    bottom layer that resists stretching in the bending kinds,
-    ``cap``/``inlet_wall`` seal the linear chamber at the ends.  The
-    bending kinds carry ``chambers`` pressurized lobes separated by
-    ``gap`` wide air slots above the base layer.  The bellows of the
-    linear kind are reinforcement rings: ``bellows_count`` bands where
-    the outer cross-section grows by ``bellows_depth``.
-    ``symmetric_half`` meshes only x >= 0 and adds a "symx" node set
-    (box kinds are mirror-symmetric, so half models halve solve cost).
-    ``element_size`` defaults to half the thinnest feature.
+    bottom layer that resists stretching, ``cap``/``inlet_wall`` seal
+    the linear chamber at the ends.  The bending kinds carry
+    ``chambers`` pressurized lobes separated by ``gap`` wide air slots
+    above the base layer.  The bellows of the linear kind are
+    reinforcement rings: ``bellows_count`` bands where the outer
+    cross-section grows by ``bellows_depth``.  A kind reads only the
+    dimensions ``_KIND_DEFAULTS`` lists for it: one left at None takes
+    the kind's default, the others stay None, and giving one of them a
+    value raises ValueError.  ``symmetric_half`` meshes only x >= 0 and
+    adds a "symx" node set (box kinds are mirror-symmetric, so half
+    models halve solve cost).  ``element_size`` defaults to half the
+    thinnest wall, or of the width for the wall-less cube.
 
     Every field is checked here, so a spec that exists is valid input
     for the mesher, the closed forms and calibration; only the layout
@@ -123,23 +127,26 @@ class ActuatorSpec:
             raise ValueError(f"unknown actuator kind {self.kind!r}, "
                              f"expected one of {KINDS}")
         defaults = _KIND_DEFAULTS[self.kind]
-        for name, value in defaults.items():
+        for name in _DIMENSIONS:
             if getattr(self, name) is None:
-                object.__setattr__(self, name, value)
+                object.__setattr__(self, name, defaults.get(name))
+            elif name not in defaults:
+                raise ValueError(f"a {self.kind} spec has no {name}; "
+                                 f"it reads {', '.join(defaults)}")
         if self.element_size is None:
             object.__setattr__(self, "element_size", self.min_feature() / 2.0)
         for name in ("length", "width", "height", "wall", "strain_wall",
                      "cap", "inlet_wall", "element_size"):
             v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
+            if v is not None and not (math.isfinite(v) and v > 0):
                 raise ValueError(f"spec.{name} must be positive and finite, got {v}")
         for name in ("gap", "bellows_depth"):
             v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
+            if v is not None and not (math.isfinite(v) and v >= 0):
                 raise ValueError(f"spec.{name} must be non-negative and finite, got {v}")
-        if self.bellows_count < 0:
+        if self.bellows_count is not None and self.bellows_count < 0:
             raise ValueError("bellows_count must be non-negative")
-        if self.kind in ("bending1", "bending2") and self.chambers < 1:
+        if self.chambers is not None and self.chambers < 1:
             raise ValueError("bending kinds need at least one chamber")
         if self.kind == "tube" and self.symmetric_half:
             raise ValueError("symmetric_half applies to box kinds only")
@@ -147,14 +154,10 @@ class ActuatorSpec:
             raise ValueError("tube wall thickness consumes the whole radius")
 
     def min_feature(self):
-        """Thinnest geometric feature, the element-size yardstick."""
-        if self.kind == "cube":
-            return self.width
-        if self.kind == "tube":
-            return self.wall
-        if self.kind in ("bending1", "bending2"):
-            return min(self.wall, self.strain_wall)
-        return min(self.wall, self.cap, self.inlet_wall, self.strain_wall)
+        """Element-size yardstick: the thinnest wall, else the width."""
+        walls = [w for w in (self.wall, self.strain_wall, self.cap,
+                             self.inlet_wall) if w is not None]
+        return min(walls, default=self.width)
 
     def chamber_pitch(self):
         """Length of one chamber plus one slot for the bending kinds."""
@@ -162,30 +165,24 @@ class ActuatorSpec:
         return span / self.chambers
 
 
-# archetype dimensions are calibrated so the bending kinds hit their
-# reference tip angles at 60 kPa with the default material
-_BASE_DEFAULTS = dict(chambers=0, gap=0.0, bellows_count=0, bellows_depth=0.0)
-
+# the dimensions each kind reads, and their defaults, calibrated so the
+# bending kinds hit their reference tip angles at 60 kPa
 _KIND_DEFAULTS = {
     "linear": dict(length=80.0, width=16.0, height=16.0, wall=2.0,
                    strain_wall=2.0, cap=2.0, inlet_wall=2.0,
                    bellows_count=4, bellows_depth=1.5),
     "bending1": dict(length=92.0, width=15.0, height=13.0, wall=2.0,
-                     strain_wall=3.0, cap=2.0, inlet_wall=2.0,
-                     chambers=9, gap=2.0),
+                     strain_wall=3.0, chambers=9, gap=2.0),
     "bending2": dict(length=70.0, width=20.0, height=24.0, wall=4.0,
-                     strain_wall=5.0, cap=4.0, inlet_wall=4.0,
-                     chambers=4, gap=2.0),
-    "cube": dict(length=1.0, width=1.0, height=1.0, wall=1.0,
-                 strain_wall=1.0, cap=1.0, inlet_wall=1.0),
+                     strain_wall=5.0, chambers=4, gap=2.0),
+    "cube": dict(length=1.0, width=1.0, height=1.0),
     "pocket": dict(length=10.0, width=10.0, height=10.0, wall=2.0,
-                   strain_wall=2.0, cap=2.0, inlet_wall=2.0),
-    "tube": dict(length=2.0, width=20.0, wall=5.0, height=20.0,
-                 strain_wall=5.0, cap=5.0, inlet_wall=5.0),
+                   strain_wall=2.0, cap=2.0, inlet_wall=2.0,
+                   bellows_count=0, bellows_depth=0.0),
+    "tube": dict(length=2.0, width=20.0, wall=5.0),
 }
-for _d in _KIND_DEFAULTS.values():
-    for _k, _v in _BASE_DEFAULTS.items():
-        _d.setdefault(_k, _v)
+_DIMENSIONS = tuple(f.name for f in fields(ActuatorSpec)
+                    if f.name not in ("kind", "symmetric_half", "element_size"))
 
 
 def _refuse_over_cap(spec, points):

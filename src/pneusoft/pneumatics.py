@@ -119,11 +119,10 @@ class ControlTrace:
     vent: np.ndarray
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write("time_s,pressure_kPa,inlet,vent\n")
-            for t, p, i, v in zip(self.time_s, self.pressure_kpa,
-                                  self.inlet, self.vent):
-                fh.write(f"{t:.6g},{p:.6g},{int(i)},{int(v)}\n")
+        np.savetxt(path, np.column_stack([self.time_s, self.pressure_kpa,
+                                          self.inlet, self.vent]),
+                   fmt="%.6g", delimiter=",", comments="",
+                   header="time_s,pressure_kPa,inlet,vent")
 
 
 def sample_count(count):
@@ -254,17 +253,18 @@ class BathTrace:
     heater: np.ndarray
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write("time_s,temp_C,heater\n")
-            for t, c, h in zip(self.time_s, self.temp_c, self.heater):
-                fh.write(f"{t:.6g},{c:.6g},{int(h)}\n")
+        np.savetxt(path, np.column_stack([self.time_s, self.temp_c,
+                                          self.heater]),
+                   fmt="%.6g", delimiter=",", comments="",
+                   header="time_s,temp_C,heater")
 
 
 def bath_peak_bound_c(plant, controller, dt_s):
     """The highest temperature a heated step of ``dt_s`` can end at: the
     heater is on only up to setpoint + band, and one step from there ends
-    here.  Unheated steps cool, so no sample of the thermostat loop
-    exceeds the larger of this and the starting temperature."""
+    here.  An unheated step moves toward the ambient, so no sample of the
+    thermostat loop exceeds the largest of this, the ambient and the
+    starting temperature."""
     t_on = plant.equilibrium_c(True)
     decay = math.exp(-dt_s * plant.loss_w_per_c / plant.capacity_j_per_c)
     return t_on - (t_on - controller.setpoint_c - controller.band_c) * decay
@@ -273,7 +273,8 @@ def bath_peak_bound_c(plant, controller, dt_s):
 def run_bath(plant, controller, duration_s, dt_s=0.1):
     """Run the thermostat loop; warns when the setpoint is unreachable.
 
-    Raises ValueError when the bath starts at the pump's limit or one
+    Raises ValueError when the bath starts at the pump's limit, its
+    ambient lies there, so that an unheated bath drifts to it, or one
     heated step of ``dt_s`` can carry it there (``bath_peak_bound_c``).
     """
     if not all(math.isfinite(v) and v > 0 for v in (duration_s, dt_s)):
@@ -282,6 +283,10 @@ def run_bath(plant, controller, duration_s, dt_s=0.1):
     if not plant.temp_c < PUMP_LIMIT_C:
         raise ValueError(f"bath starts at {plant.temp_c:g} degC, at or above "
                          f"the pump's {PUMP_LIMIT_C:g} degC limit")
+    if not plant.ambient_c < PUMP_LIMIT_C:
+        raise ValueError(f"ambient {plant.ambient_c:g} degC is at or above "
+                         f"the pump's {PUMP_LIMIT_C:g} degC limit, and an "
+                         "unheated bath drifts to it")
     bound = bath_peak_bound_c(plant, controller, dt_s)
     if bound >= PUMP_LIMIT_C:
         raise ValueError(

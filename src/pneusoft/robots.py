@@ -56,6 +56,10 @@ class EarthwormParams:
             raise ValueError("stroke map parameters must be positive")
         if min(self.mu_forward, self.mu_backward, self.normal_n) < 0:
             raise ValueError("friction parameters must be non-negative")
+        if self.force_gain_n_per_kpa < 0:
+            raise ValueError("force gain must be non-negative")
+        if self.resistance_n < 0:
+            raise ValueError("resistance must be non-negative")
 
 
 def stroke_map(params, pressure_kpa):

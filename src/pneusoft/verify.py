@@ -67,15 +67,30 @@ def cylinder_pressure_kpa(inner_radius_mm, spec=None, c10_mpa=None):
 
 
 def cylinder_inner_radius_mm(pressure_kpa, spec=None, c10_mpa=None):
-    """Inverse of cylinder_pressure_kpa via bracketed root finding."""
+    """Inverse of cylinder_pressure_kpa via bracketed root finding.
+
+    Raises ValueError for a negative or non-finite pressure, and for one
+    the closed form does not reach at inner radii up to four times the
+    reference radius.
+    """
+    if not (math.isfinite(pressure_kpa) and pressure_kpa >= 0.0):
+        raise ValueError("cylinder pressure must be non-negative and "
+                         f"finite, got {pressure_kpa:g} kPa")
     spec = spec or geometry.ActuatorSpec(kind="tube")
     rout = spec.width / 2.0
     rin = rout - spec.wall
     if pressure_kpa == 0.0:
         return rin
-    return brentq(
-        lambda a: cylinder_pressure_kpa(a, spec, c10_mpa) - pressure_kpa,
-        rin + 1e-12, 4.0 * rin, xtol=1e-12)
+    top = 4.0 * rin
+    try:
+        return brentq(
+            lambda a: cylinder_pressure_kpa(a, spec, c10_mpa) - pressure_kpa,
+            rin + 1e-12, top, xtol=1e-12)
+    except ValueError:
+        c10 = mat.DEFAULT_C10 if c10_mpa is None else c10_mpa
+        raise ValueError(f"the cylinder closed form at c10 = {c10:.4g} MPa "
+                         f"does not reach {pressure_kpa:g} kPa at inner "
+                         f"radii up to {top:g} mm") from None
 
 
 CYLINDER_FIXED = (("end0", "z"), ("end1", "z"), ("xaxis", "y"),

@@ -72,6 +72,13 @@ def test_mesh_invalid_spec_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_mesh_unread_dimension_exits_2(capsys):
+    rc = cli.main(["mesh", "--kind", "tube", "--height", "50"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "no height" in err
+
+
 def test_mesh_half_tube_exits_2(capsys):
     rc = cli.main(["mesh", "--kind", "tube", "--half"])
     assert rc == 2
@@ -276,6 +283,21 @@ def test_calibrate_impossible_tube_exits_2(tmp_path, capsys, wall):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("rows, names", [
+    ("-5,0.1\n", "-5 kPa"),
+    # beyond the closed form's pressure at four times the bore radius
+    ("20,0.5\n400,3\n", "does not reach 400 kPa at inner radii up to 4 mm"),
+])
+def test_calibrate_unreachable_pressure_exits_2(tmp_path, capsys, rows, names):
+    obs = tmp_path / "obs.csv"
+    obs.write_text("pressure_kPa,expansion_mm\n" + rows)
+    rc = cli.main(["calibrate", "--observations", str(obs),
+                   "--width", "10", "--wall", "4"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and names in err
+
+
 def test_calibrate_has_no_length_flag(tmp_path, capsys):
     # the plane-strain closed form reads only the width and the wall
     obs = tmp_path / "obs.csv"
@@ -333,6 +355,11 @@ def test_robot_earthworm_sweep(tmp_path, capsys):
     ["robot", "bath", "--duration", "3000", "--dt", "1000"],
     ["robot", "bath", "--duration", "3000", "--dt", "100",
      "--set", "bath.setpoint_c=68.5"],
+    # an ambient past the pump's limit, where an unheated bath drifts
+    ["robot", "bath", "--duration", "20000", "--set", "bath.ambient_c=95"],
+    # a negative earthworm force gain or resistance
+    ["robot", "earthworm", "--set", "earthworm.force_gain_n_per_kpa=-1"],
+    ["robot", "earthworm", "--set", "earthworm.resistance_n=-1"],
 ])
 def test_bad_loop_lengths_exit_2(capsys, argv):
     assert cli.main(argv) == 2

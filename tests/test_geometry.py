@@ -26,6 +26,40 @@ def test_kind_defaults_fill_missing_dimensions():
     assert geometry.ActuatorSpec(kind="bending2", wall=3.0).wall == 3.0
 
 
+# the dimensions each kind's solid is built from; every other one is refused
+_READS = {
+    "linear": ("length", "width", "height", "wall", "strain_wall", "cap",
+               "inlet_wall", "bellows_count", "bellows_depth"),
+    "bending1": ("length", "width", "height", "wall", "strain_wall",
+                 "chambers", "gap"),
+    "cube": ("length", "width", "height"),
+    "tube": ("length", "width", "wall"),
+}
+_READS["pocket"] = _READS["linear"]
+_READS["bending2"] = _READS["bending1"]
+_DIMENSIONS = ("length", "width", "height", "wall", "strain_wall", "cap",
+               "inlet_wall", "chambers", "gap", "bellows_count",
+               "bellows_depth")
+_UNREAD = [(kind, name) for kind in geometry.KINDS for name in _DIMENSIONS
+           if name not in _READS[kind]]
+
+
+def test_each_kind_defaults_exactly_the_dimensions_it_reads():
+    assert len(_UNREAD) == 28
+    for kind in geometry.KINDS:
+        spec = geometry.ActuatorSpec(kind=kind)
+        assert {name for name in _DIMENSIONS
+                if getattr(spec, name) is not None} == set(_READS[kind])
+
+
+@pytest.mark.parametrize("kind, name", _UNREAD)
+def test_unread_dimension_rejected(kind, name):
+    # a dimension the mesher would ignore is refused, not silently dropped
+    with pytest.raises(ValueError, match=f"a {kind} spec has no {name}; "
+                                         f"it reads {', '.join(_READS[kind])}$"):
+        geometry.ActuatorSpec(kind=kind, **{name: 1})
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="kind"):
         geometry.ActuatorSpec(kind="octopus")

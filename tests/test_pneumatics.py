@@ -283,3 +283,6 @@ def test_run_bath_validation():
         pneu.run_bath(pneu.BathPlant(temp_c=70.0), ctl, duration_s=1.0)
     with pytest.raises(ValueError, match="pump"):
         pneu.run_bath(bath, ctl, duration_s=3000.0, dt_s=1000.0)
+    # an unheated bath drifts to an ambient past the pump's limit
+    with pytest.raises(ValueError, match="ambient 95 degC .* pump"):
+        pneu.run_bath(pneu.BathPlant(ambient_c=95.0), ctl, duration_s=1.0)
