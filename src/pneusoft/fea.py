@@ -57,6 +57,7 @@ from scipy import sparse
 from scipy.sparse.linalg import spilu, splu
 
 from . import material as mat
+from .checks import check_fields
 from .elements import TET_DN, TET_W, TRI_DN, TRI_N, TRI_W, tet10_jacobian, tri6_tangents
 
 log = logging.getLogger("pneusoft.fea")
@@ -117,9 +118,7 @@ class LoadCase:
     extra_fixed: tuple = ()
 
     def __post_init__(self):
-        if not math.isfinite(self.target_pressure_kpa):
-            raise ValueError("target pressure must be finite, got "
-                             f"{self.target_pressure_kpa} kPa")
+        check_fields(self, finite="target_pressure_kpa")
         if self.target_pressure_kpa < 0:
             raise ValueError("vacuum loading is not supported; "
                              f"got {self.target_pressure_kpa} kPa")

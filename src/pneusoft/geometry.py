@@ -33,6 +33,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .checks import check_fields
 from .elements import TET10_EDGES, TRI6_EDGES
 from .mesh import Mesh
 
@@ -133,21 +134,11 @@ class ActuatorSpec:
             elif name not in defaults:
                 raise ValueError(f"a {self.kind} spec has no {name}; "
                                  f"it reads {', '.join(defaults)}")
+        check_fields(self, positive="length width height wall strain_wall cap "
+                                    "inlet_wall chambers element_size",
+                     non_negative="gap bellows_count bellows_depth")
         if self.element_size is None:
             object.__setattr__(self, "element_size", self.min_feature() / 2.0)
-        for name in ("length", "width", "height", "wall", "strain_wall",
-                     "cap", "inlet_wall", "element_size"):
-            v = getattr(self, name)
-            if v is not None and not (math.isfinite(v) and v > 0):
-                raise ValueError(f"spec.{name} must be positive and finite, got {v}")
-        for name in ("gap", "bellows_depth"):
-            v = getattr(self, name)
-            if v is not None and not (math.isfinite(v) and v >= 0):
-                raise ValueError(f"spec.{name} must be non-negative and finite, got {v}")
-        if self.bellows_count is not None and self.bellows_count < 0:
-            raise ValueError("bellows_count must be non-negative")
-        if self.chambers is not None and self.chambers < 1:
-            raise ValueError("bending kinds need at least one chamber")
         if self.kind == "tube" and self.symmetric_half:
             raise ValueError("symmetric_half applies to box kinds only")
         if self.kind == "tube" and self.wall >= self.width / 2.0:

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from .checks import check_fields
+
 DEFAULT_C10 = 0.24        # MPa, cast silicone used for all actuators
 DEFAULT_KAPPA_RATIO = 1000.0
 MIN_KAPPA_RATIO = 100.0
@@ -43,12 +45,9 @@ class HyperelasticParams:
     kappa: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        if not np.isfinite(self.c10) or self.c10 <= 0.0:
-            raise ValueError(f"c10 must be positive and finite, got {self.c10}")
+        check_fields(self, positive="c10 kappa")
         if self.kappa is None:
             object.__setattr__(self, "kappa", DEFAULT_KAPPA_RATIO * self.c10)
-        if not np.isfinite(self.kappa) or self.kappa <= 0.0:
-            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
         if self.kappa / self.c10 < MIN_KAPPA_RATIO:
             raise ValueError(
                 f"kappa/c10 = {self.kappa / self.c10:.3g} is below the "

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import check, check_fields
+
 DEFAULT_TAU_FILL_S = 0.20
 DEFAULT_TAU_VENT_S = 0.35
 DEFAULT_SUPPLY_KPA = 250.0
@@ -43,17 +45,12 @@ class PneumaticPlant:
     pressure_kpa: float = 0.0
 
     def __post_init__(self):
-        if self.supply_kpa <= 0:
-            raise ValueError(f"supply must be positive, got {self.supply_kpa}")
-        if self.tau_fill_s <= 0 or self.tau_vent_s <= 0:
-            raise ValueError("valve time constants must be positive")
-        if self.pressure_kpa < 0:
-            raise ValueError(f"negative gauge pressure {self.pressure_kpa}")
+        check_fields(self, positive="supply_kpa tau_fill_s tau_vent_s",
+                     non_negative="pressure_kpa")
 
     def step(self, dt_s, inlet_open, vent_open):
         """Advance dt_s with a held valve state; returns the new pressure."""
-        if dt_s < 0:
-            raise ValueError(f"negative time step {dt_s}")
+        check("dt_s", dt_s, "non_negative")
         if inlet_open and vent_open:
             raise ValueError("valve interlock: inlet and vent both open")
         p = self.pressure_kpa
@@ -77,10 +74,7 @@ class DeadbandController:
     band_kpa: float = 2.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.setpoint_kpa) and self.setpoint_kpa >= 0
-                and math.isfinite(self.band_kpa) and self.band_kpa > 0):
-            raise ValueError("need finite setpoint >= 0 and band > 0, got "
-                             f"{self.setpoint_kpa} and {self.band_kpa}")
+        check_fields(self, non_negative="setpoint_kpa", positive="band_kpa")
 
     def command(self, t_s, pressure_kpa):
         if pressure_kpa < self.setpoint_kpa - self.band_kpa:
@@ -98,9 +92,7 @@ class DutyCycleController:
     duty: float = 0.5
 
     def __post_init__(self):
-        if not (math.isfinite(self.frequency_hz) and self.frequency_hz > 0):
-            raise ValueError(f"frequency must be positive and finite, got "
-                             f"{self.frequency_hz}")
+        check_fields(self, positive="frequency_hz")
         if not 0.0 < self.duty < 1.0:
             raise ValueError(f"duty must lie in (0, 1), got {self.duty}")
 
@@ -139,9 +131,8 @@ def run_control(plant, controller, duration_s, sample_hz=DEFAULT_SAMPLE_HZ):
     Row k holds the pressure at t_k and the valve command applied until
     t_{k+1}; the final row carries the end pressure with closed valves.
     """
-    if not all(math.isfinite(v) and v > 0 for v in (duration_s, sample_hz)):
-        raise ValueError("duration and sample rate must be positive and "
-                         f"finite, got {duration_s} s and {sample_hz} Hz")
+    check("duration_s", duration_s, "positive")
+    check("sample_hz", sample_hz, "positive")
     n = int(round(sample_count(duration_s * sample_hz)))
     dt = 1.0 / sample_hz
     time_s = np.arange(n + 1) * dt
@@ -204,18 +195,16 @@ class BathPlant:
     temp_c: float = 20.0
 
     def __post_init__(self):
-        if self.heater_power_w < 0:
-            raise ValueError(f"negative heater power {self.heater_power_w}")
-        if self.loss_w_per_c <= 0 or self.capacity_j_per_c <= 0:
-            raise ValueError("loss and capacity must be positive")
+        check_fields(self, non_negative="heater_power_w",
+                     positive="loss_w_per_c capacity_j_per_c",
+                     finite="ambient_c temp_c")
 
     def equilibrium_c(self, heater_on):
         excess = self.heater_power_w / self.loss_w_per_c if heater_on else 0.0
         return self.ambient_c + excess
 
     def step(self, dt_s, heater_on):
-        if dt_s < 0:
-            raise ValueError(f"negative time step {dt_s}")
+        check("dt_s", dt_s, "non_negative")
         t_inf = self.equilibrium_c(heater_on)
         decay = math.exp(-dt_s * self.loss_w_per_c / self.capacity_j_per_c)
         self.temp_c = t_inf + (self.temp_c - t_inf) * decay
@@ -231,8 +220,7 @@ class ThermostatController:
     _on: bool = field(default=False, repr=False)
 
     def __post_init__(self):
-        if self.band_c <= 0:
-            raise ValueError(f"band must be positive, got {self.band_c}")
+        check_fields(self, finite="setpoint_c", positive="band_c")
         if not self.setpoint_c + self.band_c < PUMP_LIMIT_C:
             raise ValueError(
                 f"setpoint {self.setpoint_c:g} + band {self.band_c:g} degC "
@@ -277,9 +265,8 @@ def run_bath(plant, controller, duration_s, dt_s=0.1):
     ambient lies there, so that an unheated bath drifts to it, or one
     heated step of ``dt_s`` can carry it there (``bath_peak_bound_c``).
     """
-    if not all(math.isfinite(v) and v > 0 for v in (duration_s, dt_s)):
-        raise ValueError("duration and time step must be positive and "
-                         f"finite, got {duration_s} s and {dt_s} s")
+    check("duration_s", duration_s, "positive")
+    check("dt_s", dt_s, "positive")
     if not plant.temp_c < PUMP_LIMIT_C:
         raise ValueError(f"bath starts at {plant.temp_c:g} degC, at or above "
                          f"the pump's {PUMP_LIMIT_C:g} degC limit")

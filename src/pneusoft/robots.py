@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pneumatics
+from .checks import check, check_fields
 
 GRAVITY_M_PER_S2 = 9.81
 
@@ -52,23 +53,20 @@ class EarthwormParams:
     tau_vent_s: float = pneumatics.DEFAULT_TAU_VENT_S
 
     def __post_init__(self):
-        if self.stroke_max_mm <= 0 or self.pressure_scale_kpa <= 0:
-            raise ValueError("stroke map parameters must be positive")
-        if min(self.mu_forward, self.mu_backward, self.normal_n) < 0:
-            raise ValueError("friction parameters must be non-negative")
-        if self.force_gain_n_per_kpa < 0:
-            raise ValueError("force gain must be non-negative")
-        if self.resistance_n < 0:
-            raise ValueError("resistance must be non-negative")
+        check_fields(self, positive="stroke_max_mm pressure_scale_kpa",
+                     non_negative="force_gain_n_per_kpa mu_forward "
+                                  "mu_backward normal_n resistance_n")
+        # the valve loop's own classes check its supply, time constants and duty
+        pneumatics.PneumaticPlant(self.supply_kpa, self.tau_fill_s,
+                                  self.tau_vent_s)
+        pneumatics.DutyCycleController(1.0, self.duty)
 
 
 def stroke_map(params, pressure_kpa):
     """Actuator extension at a held pressure, mm (saturating)."""
-    p = np.asarray(pressure_kpa, dtype=float)
-    if np.any(p < 0):
-        raise ValueError("negative pressure in stroke map")
-    out = params.stroke_max_mm * -np.expm1(-p / params.pressure_scale_kpa)
-    return float(out) if np.isscalar(pressure_kpa) else out
+    check("pressure_kpa", pressure_kpa, "non_negative")
+    return params.stroke_max_mm * -math.expm1(-pressure_kpa
+                                              / params.pressure_scale_kpa)
 
 
 def _slip_share(params):
@@ -150,20 +148,16 @@ class QuadrupedParams:
     max_pressure_kpa: float = 50.0
 
     def __post_init__(self):
-        if self.cycle_s <= 0 or self.leg_length_mm <= 0:
-            raise ValueError("cycle time and leg length must be positive")
-        if self.stall_load_g <= 0:
-            raise ValueError("stall load must be positive")
+        check_fields(self, positive="cycle_s leg_length_mm stall_load_g "
+                                    "max_pressure_kpa")
 
 
 def quadruped_bend_angle(pressure_kpa):
     """Leg tip angle in degrees at a held pressure, interpolated in the
     bend table."""
-    p = np.asarray(pressure_kpa, dtype=float)
-    if np.any(p < 0):
-        raise ValueError("negative pressure in bend table lookup")
-    out = np.interp(p, QUADRUPED_BEND_TABLE_KPA, QUADRUPED_BEND_TABLE_DEG)
-    return float(out) if np.isscalar(pressure_kpa) else out
+    check("pressure_kpa", pressure_kpa, "non_negative")
+    return float(np.interp(pressure_kpa, QUADRUPED_BEND_TABLE_KPA,
+                           QUADRUPED_BEND_TABLE_DEG))
 
 
 def quadruped_speed(params, pressure_kpa, load_g=0.0):
@@ -173,16 +167,12 @@ def quadruped_speed(params, pressure_kpa, load_g=0.0):
     forward by the chord of the commanded bend angle; load shrinks the
     effective swing linearly until the robot stalls.
     """
-    if not (math.isfinite(pressure_kpa) and math.isfinite(load_g)):
-        raise ValueError("pressure and load must be finite, got "
-                         f"{pressure_kpa} kPa and {load_g} g")
-    if load_g < 0:
-        raise ValueError(f"negative load {load_g}")
+    check("load_g", load_g, "non_negative")
+    angle = math.radians(quadruped_bend_angle(pressure_kpa))
     if pressure_kpa > params.max_pressure_kpa:
         warnings.warn(
             f"{pressure_kpa:g} kPa exceeds the {params.max_pressure_kpa:g} "
             f"kPa stance envelope of the legs; speed extrapolated")
-    angle = math.radians(quadruped_bend_angle(pressure_kpa))
     step_mm = 2.0 * params.leg_length_mm * math.sin(angle / 2.0)
     derate = max(0.0, 1.0 - load_g / params.stall_load_g)
     return 2.0 * step_mm * derate / params.cycle_s
@@ -201,8 +191,7 @@ def quadruped_trajectory(params, pressure_kpa, load_g=0.0, duration_s=9.0):
     The body advances by one leg-pair stroke per half cycle, so the
     trajectory is a staircase whose mean slope is quadruped_speed.
     """
-    if duration_s <= 0:
-        raise ValueError(f"duration must be positive, got {duration_s}")
+    check("duration_s", duration_s, "positive")
     advance = 0.5 * params.cycle_s * quadruped_speed(params, pressure_kpa,
                                                      load_g)
     half = params.cycle_s / 2.0
@@ -246,16 +235,11 @@ class GripperParams:
     adhesion_n: float = 0.0
 
     def __post_init__(self):
-        if self.finger_count < 1:
-            raise ValueError("need at least one finger")
-        if min(self.mu_plain, self.mu_tape) <= 0:
-            raise ValueError("friction coefficients must be positive")
-        if self.normal_gain_n_per_kpa < 0:
-            raise ValueError("normal gain must be non-negative")
-        if self.saturation_kpa <= 0 or self.pressure_cap_kpa <= 0:
-            raise ValueError("saturation and pressure cap must be positive")
-        if self.adhesion_n < 0:
-            raise ValueError("adhesion must be non-negative")
+        check_fields(self, positive="finger_count mu_plain mu_tape "
+                                    "saturation_kpa pressure_cap_kpa",
+                     non_negative="normal_gain_n_per_kpa contact_kpa_at_60mm "
+                                  "adhesion_n",
+                     finite="contact_slope_kpa_per_mm")
 
     def friction(self, surface):
         if surface == "plain":
@@ -268,9 +252,7 @@ class GripperParams:
 
 def gripper_contact_pressure(params, diameter_mm=60.0):
     """Pressure where the fingers first load the object, kPa."""
-    if not (math.isfinite(diameter_mm) and diameter_mm > 0):
-        raise ValueError("diameter must be positive and finite, got "
-                         f"{diameter_mm}")
+    check("diameter_mm", diameter_mm, "positive")
     c = (params.contact_kpa_at_60mm
          + params.contact_slope_kpa_per_mm * (diameter_mm - 60.0))
     return max(0.0, c)
@@ -279,8 +261,7 @@ def gripper_contact_pressure(params, diameter_mm=60.0):
 def gripper_capacity_n(params, pressure_kpa, surface="plain",
                        diameter_mm=60.0):
     """Largest weight the grasp can hold at a pressure, N."""
-    if pressure_kpa < 0:
-        raise ValueError(f"negative pressure {pressure_kpa}")
+    check("pressure_kpa", pressure_kpa, "non_negative")
     p_eff = min(pressure_kpa, params.saturation_kpa)
     squeeze = max(0.0, p_eff - gripper_contact_pressure(params, diameter_mm))
     per_finger = (params.friction(surface)
@@ -292,9 +273,7 @@ def gripper_capacity_n(params, pressure_kpa, surface="plain",
 def gripper_can_hold(params, mass_g, pressure_kpa, surface="plain",
                      diameter_mm=60.0):
     """True when the grasp supports the object weight at this pressure."""
-    if not (math.isfinite(mass_g) and mass_g >= 0):
-        raise ValueError("mass must be finite and non-negative, got "
-                         f"{mass_g}")
+    check("mass_g", mass_g, "non_negative")
     weight = mass_g * 1e-3 * GRAVITY_M_PER_S2
     return gripper_capacity_n(params, pressure_kpa, surface,
                               diameter_mm) >= weight
@@ -310,9 +289,7 @@ def gripper_min_pressure_kpa(params, mass_g, surface="plain",
     saturation knee or the supply cap is unreachable because extra
     pressure stops adding normal force there.
     """
-    if not (math.isfinite(mass_g) and mass_g >= 0):
-        raise ValueError("mass must be finite and non-negative, got "
-                         f"{mass_g}")
+    check("mass_g", mass_g, "non_negative")
     weight = mass_g * 1e-3 * GRAVITY_M_PER_S2
     contact = gripper_contact_pressure(params, diameter_mm)
     need = weight / params.finger_count - params.adhesion_n
@@ -331,9 +308,7 @@ def gripper_max_mass_g(params, pressure_cap_kpa=None, surface="plain",
                        diameter_mm=60.0):
     """Heaviest holdable object in grams at pressures up to the cap."""
     cap = params.pressure_cap_kpa if pressure_cap_kpa is None \
-        else pressure_cap_kpa
-    if cap < 0:
-        raise ValueError(f"negative pressure cap {cap}")
+        else check("pressure_cap_kpa", pressure_cap_kpa, "non_negative")
     capacity = gripper_capacity_n(params, min(cap, params.saturation_kpa),
                                   surface, diameter_mm)
     return capacity / GRAVITY_M_PER_S2 * 1e3

@@ -24,6 +24,7 @@ from scipy.optimize import brentq
 from . import config as cfgmod
 from . import fea, geometry, pneumatics, robots
 from . import material as mat
+from .checks import check
 from .mesh import face_normal_sum
 
 
@@ -55,8 +56,9 @@ def cylinder_pressure_kpa(inner_radius_mm, spec=None, c10_mpa=None):
     rout = spec.width / 2.0
     rin = rout - spec.wall
     a = float(inner_radius_mm)
-    if a < rin:
-        raise ValueError(f"deformed inner radius {a} below reference {rin}")
+    if not rin <= a < math.inf:
+        raise ValueError("deformed inner radius must be finite and at least "
+                         f"the reference {rin:g} mm, got {a}")
 
     def integrand(big_r):
         r2 = big_r * big_r + a * a - rin * rin
@@ -69,28 +71,35 @@ def cylinder_pressure_kpa(inner_radius_mm, spec=None, c10_mpa=None):
 def cylinder_inner_radius_mm(pressure_kpa, spec=None, c10_mpa=None):
     """Inverse of cylinder_pressure_kpa via bracketed root finding.
 
-    Raises ValueError for a negative or non-finite pressure, and for one
-    the closed form does not reach at inner radii up to four times the
-    reference radius.
+    The pressure rises with the bore toward the asymptote
+    2 c10 ln(r_out / r_in), so the bracket widens until it holds the
+    root.  Raises ValueError for a negative or non-finite pressure, and
+    for one at or above the asymptote.
     """
-    if not (math.isfinite(pressure_kpa) and pressure_kpa >= 0.0):
-        raise ValueError("cylinder pressure must be non-negative and "
-                         f"finite, got {pressure_kpa:g} kPa")
+    check("pressure_kpa", pressure_kpa, "non_negative")
     spec = spec or geometry.ActuatorSpec(kind="tube")
+    c10 = mat.DEFAULT_C10 if c10_mpa is None else check("c10_mpa", c10_mpa,
+                                                        "positive")
     rout = spec.width / 2.0
     rin = rout - spec.wall
+    limit = 2.0 * c10 * math.log(rout / rin) / fea.KPA_TO_MPA
+    if not pressure_kpa < limit:
+        raise ValueError(f"the cylinder closed form at c10 = {c10:.4g} MPa "
+                         f"never reaches {pressure_kpa:g} kPa: it tends to "
+                         f"2 c10 ln(r_out / r_in) = {limit:.5g} kPa")
     if pressure_kpa == 0.0:
         return rin
+
+    def gap(a):
+        return cylinder_pressure_kpa(a, spec, c10) - pressure_kpa
+
     top = 4.0 * rin
-    try:
-        return brentq(
-            lambda a: cylinder_pressure_kpa(a, spec, c10_mpa) - pressure_kpa,
-            rin + 1e-12, top, xtol=1e-12)
-    except ValueError:
-        c10 = mat.DEFAULT_C10 if c10_mpa is None else c10_mpa
-        raise ValueError(f"the cylinder closed form at c10 = {c10:.4g} MPa "
-                         f"does not reach {pressure_kpa:g} kPa at inner "
-                         f"radii up to {top:g} mm") from None
+    while gap(top) < 0.0:
+        if top > 1e6 * rout:
+            raise ValueError(f"{pressure_kpa:.9g} kPa lies within rounding of "
+                             f"the cylinder asymptote {limit:.9g} kPa")
+        top *= 4.0
+    return brentq(gap, rin + 1e-12, top, xtol=1e-12)
 
 
 CYLINDER_FIXED = (("end0", "z"), ("end1", "z"), ("xaxis", "y"),

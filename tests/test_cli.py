@@ -284,9 +284,12 @@ def test_calibrate_impossible_tube_exits_2(tmp_path, capsys, wall):
 
 
 @pytest.mark.parametrize("rows, names", [
-    ("-5,0.1\n", "-5 kPa"),
-    # beyond the closed form's pressure at four times the bore radius
-    ("20,0.5\n400,3\n", "does not reach 400 kPa at inner radii up to 4 mm"),
+    pytest.param("-5,0.1\n",
+                 "pressure_kpa must be non-negative and finite, got -5.0",
+                 id="negative"),
+    # at or above the closed form's asymptote at the fit's trial c10
+    pytest.param("20,0.5\n400,3\n", "never reaches 400 kPa: it tends to",
+                 id="above-asymptote"),
 ])
 def test_calibrate_unreachable_pressure_exits_2(tmp_path, capsys, rows, names):
     obs = tmp_path / "obs.csv"
@@ -364,6 +367,14 @@ def test_robot_earthworm_sweep(tmp_path, capsys):
 def test_bad_loop_lengths_exit_2(capsys, argv):
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_robot_out_of_range_setting_exits_2(capsys):
+    # a stance envelope of -5 kPa used to print a speed
+    argv = ["robot", "quadruped", "--set", "quadruped.max_pressure_kpa=-5"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == ("error: max_pressure_kpa must be "
+                                       "positive and finite, got -5.0\n")
 
 
 def test_robot_quadruped_reports_anchor(capsys):

@@ -1,10 +1,13 @@
 """Layered flat configuration: defaults, files, overrides, builders."""
 
+import dataclasses
+import math
 from pathlib import Path
 
 import pytest
 
 from pneusoft import config as cfgmod
+from pneusoft import fea, geometry, material
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -94,8 +97,9 @@ def test_file_errors_carry_path_and_line(tmp_path):
 def test_builders_construct_domain_objects():
     # every key of every section, set off its default, reaches its object
     base = cfgmod.defaults()
+    step = {"earthworm.duty": 0.25}  # a duty of 1.0 leaves (0, 1)
     cfg = cfgmod.resolve(overrides=[
-        f"{k}={v + (1 if isinstance(v, int) else 0.5)}"
+        f"{k}={v + step.get(k, 1 if isinstance(v, int) else 0.5)}"
         for k, v in base.items()])
     carried = set()
     for section, classes in cfgmod.SECTIONS.items():
@@ -111,6 +115,28 @@ def test_builders_construct_domain_objects():
     assert params.kappa == pytest.approx(1000.5 * 0.74)
     assert carried | {"material.c10_mpa", "material.kappa_ratio",
                       "solver.increments"} == set(cfg)
+
+
+_GUARDED = [cls for classes in cfgmod.SECTIONS.values() for cls in classes] + [
+    geometry.ActuatorSpec, material.HyperelasticParams, fea.LoadCase]
+_REQUIRED = {material.HyperelasticParams: dict(c10=0.24),
+             fea.LoadCase: dict(target_pressure_kpa=10.0)}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls, name", [
+    pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
+    for cls in _GUARDED for f in dataclasses.fields(cls)
+    if f.type in (int, float)])
+def test_every_numeric_field_refuses_non_finite(cls, name, value):
+    # enumerated from the dataclasses, so a field added without a rule fails
+    kwargs = dict(_REQUIRED.get(cls, {}))
+    if cls is geometry.ActuatorSpec:
+        kwargs["kind"] = next(k for k in geometry.KINDS
+                              if getattr(cls(kind=k), name) is not None)
+    kwargs[name] = value
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        cls(**kwargs)
 
 
 def test_default_builders_match_dataclass_defaults():

@@ -442,6 +442,22 @@ def pocket_ramp(pocket_coarse):
     return fea.solve(pocket_coarse, PARAMS, POCKET_RAMP)
 
 
+def test_solution_depends_on_pressure_over_c10(pocket_coarse, pocket_ramp):
+    # at a fixed kappa/c10 the energy is c10 times a function of F, so
+    # scaling c10 and the pressure together leaves every station in place
+    lam = 1.37
+    sol = fea.solve(pocket_coarse,
+                    material.HyperelasticParams(c10=lam * PARAMS.c10),
+                    fea.LoadCase(target_pressure_kpa=lam * 20.0, increments=2))
+    assert np.allclose(sol.pressures_kpa, lam * pocket_ramp.pressures_kpa,
+                       rtol=1e-15, atol=0.0)
+    assert len(sol.displacements) == len(pocket_ramp.displacements)
+    for u, ref in zip(sol.displacements, pocket_ramp.displacements):
+        assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert ([rec["factorizations"] for rec in sol.log]
+            == [rec["factorizations"] for rec in pocket_ramp.log])
+
+
 def _patch_fast_splu(monkeypatch, fast):
     """Route the splu calls that carry SuperLU options through ``fast``."""
     def call(k, **kwargs):

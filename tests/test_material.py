@@ -250,6 +250,27 @@ def _cylinder_expansion(c10, pressures):
     ])
 
 
+def test_cylinder_inverse_reaches_past_four_bore_radii():
+    # a 10 mm tube with a 4 mm wall: the closed form passes 688 kPa at a
+    # 4 mm bore and tends to 2 c10 ln(5) = 772.53 kPa as the bore grows
+    from pneusoft import geometry, verify
+
+    spec = geometry.ActuatorSpec(kind="tube", width=10.0, wall=4.0)
+    for p in (700.0, 770.0):
+        a = verify.cylinder_inner_radius_mm(p, spec, 0.24)
+        assert a > 4.0
+        assert verify.cylinder_pressure_kpa(a, spec, 0.24) == pytest.approx(
+            p, rel=1e-12)
+    with pytest.raises(ValueError, match=r"772\.6 kPa: it tends to .* = "
+                                         r"772\.53 kPa"):
+        verify.cylinder_inner_radius_mm(772.6, spec, 0.24)
+    # a NaN radius or c10 used to come back as a nan pressure or radius
+    with pytest.raises(ValueError, match="deformed inner radius .* got nan"):
+        verify.cylinder_pressure_kpa(math.nan, spec, 0.24)
+    with pytest.raises(ValueError, match="c10_mpa"):
+        verify.cylinder_inner_radius_mm(10.0, spec, math.nan)
+
+
 def test_calibrate_recovers_generating_constant():
     pressures = np.array([10.0, 20.0, 30.0, 40.0, 50.0])
     observed = _cylinder_expansion(0.30, pressures)

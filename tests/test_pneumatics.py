@@ -233,9 +233,10 @@ def test_thermostat_warns_when_setpoint_unreachable():
 
 
 def test_thermostat_band_stays_below_pump_limit():
-    for setpoint, band in ((69.0, 1.0), (90.0, 1.0), (65.0, math.nan),
-                           (math.nan, 1.0)):
-        with pytest.raises(ValueError, match="pump"):
+    for setpoint, band, match in ((69.0, 1.0, "pump"), (90.0, 1.0, "pump"),
+                                  (65.0, math.nan, "band_c"),
+                                  (math.nan, 1.0, "setpoint_c")):
+        with pytest.raises(ValueError, match=match):
             pneu.ThermostatController(setpoint_c=setpoint, band_c=band)
     pneu.ThermostatController(setpoint_c=68.9, band_c=1.0)  # just below
 

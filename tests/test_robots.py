@@ -108,7 +108,7 @@ def test_earthworm_validation():
         robots.EarthwormParams(stroke_max_mm=-1.0)
     with pytest.raises(ValueError):
         robots.EarthwormParams(mu_forward=-0.5)
-    with pytest.raises(ValueError, match="force gain"):
+    with pytest.raises(ValueError, match="force_gain_n_per_kpa"):
         robots.EarthwormParams(force_gain_n_per_kpa=-1.0)
     with pytest.raises(ValueError, match="resistance"):
         robots.EarthwormParams(resistance_n=-1.0)
