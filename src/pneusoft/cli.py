@@ -9,6 +9,7 @@ import argparse
 import dataclasses
 import logging
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -109,7 +110,13 @@ def _cmd_solve(args):
     # checked before meshing, which can take seconds; supports come after
     case = fea.LoadCase(target_pressure_kpa=args.pressure,
                         increments=increments)
+    out_dir = Path(args.out).parent
+    if not out_dir.is_dir():
+        raise ValueError(f"--out directory {out_dir} does not exist")
     msh = _load_or_build_mesh(args)
+    if not any(name in msh.node_sets for name in fea.TIP_SETS):
+        raise ValueError("the mesh has neither a 'tip' nor an 'end1' node "
+                         "set to measure; add one to the mesh file")
     fixed, extra = _supports(msh)
     case = dataclasses.replace(case, fixed_set=fixed, extra_fixed=extra)
     try:
@@ -134,7 +141,7 @@ def _cmd_calibrate(args):
         raise ValueError("observations need two columns "
                          "(pressure_kPa,expansion_mm)")
     pressures, expansions = rows[:, 0], rows[:, 1]
-    rin = spec.width / 2.0 - spec.wall
+    rin, _ = verify.tube_radii(spec)
 
     def forward(c10, pressure_kpa):
         return np.array([

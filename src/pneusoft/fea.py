@@ -714,10 +714,13 @@ def solve(mesh, params, case, prescribed=None):
 
 # ----------------------------------------------------------- measurements
 
+TIP_SETS = ("tip", "end1")  # measured in this order when no set is named
+
+
 def _tip_set(mesh, node_set):
     if node_set is not None:
         return mesh.node_set(node_set)
-    for name in ("tip", "end1"):
+    for name in TIP_SETS:
         if name in mesh.node_sets:
             return mesh.node_sets[name]
     raise KeyError("mesh has neither a 'tip' nor an 'end1' node set; "

@@ -50,7 +50,11 @@ class PneumaticPlant:
 
     def step(self, dt_s, inlet_open, vent_open):
         """Advance dt_s with a held valve state; returns the new pressure."""
-        check("dt_s", dt_s, "non_negative")
+        return self._step(check("dt_s", dt_s, "non_negative"), inlet_open,
+                          vent_open)
+
+    def _step(self, dt_s, inlet_open, vent_open):
+        # step for a loop that checked dt_s once
         if inlet_open and vent_open:
             raise ValueError("valve interlock: inlet and vent both open")
         p = self.pressure_kpa
@@ -143,7 +147,7 @@ def run_control(plant, controller, duration_s, sample_hz=DEFAULT_SAMPLE_HZ):
         pressure[k] = plant.pressure_kpa
         inlet[k], vent[k] = controller.command(float(time_s[k]),
                                                plant.pressure_kpa)
-        plant.step(dt, bool(inlet[k]), bool(vent[k]))
+        plant._step(dt, bool(inlet[k]), bool(vent[k]))
     pressure[n] = plant.pressure_kpa
     return ControlTrace(time_s=time_s, pressure_kpa=pressure,
                         inlet=inlet, vent=vent)
@@ -204,7 +208,10 @@ class BathPlant:
         return self.ambient_c + excess
 
     def step(self, dt_s, heater_on):
-        check("dt_s", dt_s, "non_negative")
+        return self._step(check("dt_s", dt_s, "non_negative"), heater_on)
+
+    def _step(self, dt_s, heater_on):
+        # step for a loop that checked dt_s once
         t_inf = self.equilibrium_c(heater_on)
         decay = math.exp(-dt_s * self.loss_w_per_c / self.capacity_j_per_c)
         self.temp_c = t_inf + (self.temp_c - t_inf) * decay
@@ -292,6 +299,6 @@ def run_bath(plant, controller, duration_s, dt_s=0.1):
     for k in range(n):
         temp[k] = plant.temp_c
         heater[k] = controller.command(float(time_s[k]), plant.temp_c)
-        plant.step(dt_s, bool(heater[k]))
+        plant._step(dt_s, bool(heater[k]))
     temp[n] = plant.temp_c
     return BathTrace(time_s=time_s, temp_c=temp, heater=heater)

@@ -1,21 +1,24 @@
 """Self-contained correctness checks runnable from the command line.
 
-Each check has one implementation, here; acceptance criteria 1, 2, 3
-and 5 and the tube test call the same functions.  The quick suite
-covers the discrete mechanics (derivative consistency, patch test on
-displacement and stress, closed-cavity force and moment balance) and
-the valve-loop closed form against the plant stepped phase by phase;
-the full suite adds the near-incompressibility guarantee and one coarse
-(2.5 mm) tube solve against the plane-strain closed form at every
-increment from 5 kPa.  Every check takes only the configuration and
-returns a CheckResult instead of raising, so one bad configuration
-fails the run without hiding later checks.
+``run_checks`` is the one runner that ``pneusoft verify``, acceptance
+criteria 1, 2, 3 and 5 and the tube, incompressibility and valve tests
+call.  It resolves the configuration (the defaults when none is given)
+and names and times each check of ``CHECKS``; a check takes the
+configuration and returns ``(passed, detail)``, and one that raises
+fails with the exception named, without hiding later checks.  The
+quick suite covers the discrete mechanics (derivative consistency,
+patch test, closed-cavity force and moment balance) and the valve-loop
+closed form against the plant stepped phase by phase; the full suite
+adds the near-incompressibility guarantee and a coarse (2.5 mm) tube
+solve against the plane-strain closed form at every increment from
+5 kPa.  Checks read the material through ``config.material_params``.
 """
 
 import math
 import time
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.integrate import quad
@@ -36,12 +39,17 @@ class CheckResult:
     elapsed_s: float
 
 
-def _result(name, t0, passed, detail):
-    return CheckResult(name=name, passed=bool(passed), detail=detail,
-                       elapsed_s=time.perf_counter() - t0)
-
-
 # ------------------------------------------------------- closed forms
+
+_TUBE = geometry.ActuatorSpec(kind="tube")
+
+
+def tube_radii(spec=None):
+    """(inner, outer) radii in mm of a tube spec, the default when None."""
+    spec = spec or _TUBE
+    rout = spec.width / 2.0
+    return rout - spec.wall, rout
+
 
 def cylinder_pressure_kpa(inner_radius_mm, spec=None, c10_mpa=None):
     """Inflation pressure of the plane-strain incompressible cylinder.
@@ -51,10 +59,8 @@ def cylinder_pressure_kpa(inner_radius_mm, spec=None, c10_mpa=None):
     the incompressible map r^2 = R^2 + a^2 - A^2 at unit axial
     stretch.  Used as the independent reference for the tube solves.
     """
-    spec = spec or geometry.ActuatorSpec(kind="tube")
     c10 = mat.DEFAULT_C10 if c10_mpa is None else c10_mpa
-    rout = spec.width / 2.0
-    rin = rout - spec.wall
+    rin, rout = tube_radii(spec)
     a = float(inner_radius_mm)
     if not rin <= a < math.inf:
         raise ValueError("deformed inner radius must be finite and at least "
@@ -77,11 +83,9 @@ def cylinder_inner_radius_mm(pressure_kpa, spec=None, c10_mpa=None):
     for one at or above the asymptote.
     """
     check("pressure_kpa", pressure_kpa, "non_negative")
-    spec = spec or geometry.ActuatorSpec(kind="tube")
     c10 = mat.DEFAULT_C10 if c10_mpa is None else check("c10_mpa", c10_mpa,
                                                         "positive")
-    rout = spec.width / 2.0
-    rin = rout - spec.wall
+    rin, rout = tube_radii(spec)
     limit = 2.0 * c10 * math.log(rout / rin) / fea.KPA_TO_MPA
     if not pressure_kpa < limit:
         raise ValueError(f"the cylinder closed form at c10 = {c10:.4g} MPa "
@@ -106,91 +110,75 @@ CYLINDER_FIXED = (("end0", "z"), ("end1", "z"), ("xaxis", "y"),
                   ("yaxis", "x"))
 
 
-def _cylinder_solution(element_size, c10):
-    """Plane-strain tube inflated to 50 kPa over 10 stations."""
-    spec = geometry.ActuatorSpec(kind="tube", element_size=element_size)
+def _fixture_mesh(kind, element_size):
+    """A check's mesh, built without the coarse-element warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        mesh = geometry.generate_mesh(spec)
+        return geometry.generate_mesh(
+            geometry.ActuatorSpec(kind=kind, element_size=element_size))
+
+
+def solve_cylinder(element_size, params):
+    """(mesh, solution) of the plane-strain tube at 50 kPa in 10 steps."""
+    mesh = _fixture_mesh("tube", element_size)
     case = fea.LoadCase(target_pressure_kpa=50.0, increments=10,
                         fixed_set=None, extra_fixed=CYLINDER_FIXED)
-    return mesh, fea.solve(mesh, mat.HyperelasticParams(c10=c10), case)
-
-
-def solve_cylinder(element_size):
-    """Tube inflation at 50 kPa; returns the mean inner expansion, mm."""
-    mesh, sol = _cylinder_solution(element_size, mat.DEFAULT_C10)
-    return float(fea.measure_radial_expansion(mesh, sol)[-1])
+    return mesh, fea.solve(mesh, params, case)
 
 
 # ------------------------------------------------------------- checks
 
-def check_gradient(cfg=None):
+def _fd_gap(f, df, u, v, h=1e-5):
+    """Relative gap between the central difference of ``f`` at ``u``
+    along ``v`` and the directional derivative ``df(u, v)``."""
+    num = (f(u + h * v) - f(u - h * v)) / (2 * h)
+    exact = df(u, v)
+    return float(np.linalg.norm(num - exact)
+                 / max(np.linalg.norm(exact), 1e-9))
+
+
+def _along(matrix):
+    """``df(u, v)`` of a derivative given as a sparse matrix ``matrix(u)``."""
+    return lambda u, v: (matrix(u) @ v.reshape(-1)).reshape(-1, 3)
+
+
+def check_gradient(cfg):
     """Energy, internal force, tangent and pressure terms agree with
     central finite differences over random admissible states."""
-    t0 = time.perf_counter()
-    mesh = geometry.generate_mesh(
-        geometry.ActuatorSpec(kind="cube", element_size=0.5))
-    pm = cfgmod.material_params(cfg or cfgmod.defaults())
-    model = fea.Model(mesh)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        pocket = geometry.generate_mesh(
-            geometry.ActuatorSpec(kind="pocket", element_size=2.5))
-    pocket_model = fea.Model(pocket)
+    pm = cfgmod.material_params(cfg)
+    cube, pocket = _fixture_mesh("cube", 0.5), _fixture_mesh("pocket", 2.5)
+    model, pocket_model = fea.Model(cube), fea.Model(pocket)
+    energy = partial(fea.total_strain_energy, cube, pm, model=model)
+    force = partial(fea.internal_force, cube, pm, model=model)
+    tangent = partial(fea.tangent_stiffness, cube, pm, model=model)
+    press = partial(fea.pressure_force, pocket, 30.0, model=pocket_model)
+    press_k = partial(fea.pressure_stiffness, pocket, 30.0, model=pocket_model)
+    # two of every three states test the solid, the third the pressure
+    solid = cube, (("force", energy, lambda u, v: np.sum(force(u) * v)),
+                   ("tangent", force, _along(tangent)))
+    cavity = pocket, (("pressure", press, _along(press_k)),)
     rng = np.random.default_rng(20260814)
     n_states = 100
-    h = 1e-5
-    worst_force = worst_tangent = worst_press = 0.0
+    worst = dict.fromkeys(("force", "tangent", "pressure"), 0.0)
     for k in range(n_states):
-        if k % 3 < 2:
-            u = 0.02 * rng.standard_normal((mesh.n_nodes, 3))
-            v = rng.standard_normal((mesh.n_nodes, 3))
-            v /= np.linalg.norm(v)
-            ep = fea.total_strain_energy(mesh, pm, u + h * v, model=model)
-            em = fea.total_strain_energy(mesh, pm, u - h * v, model=model)
-            f = fea.internal_force(mesh, pm, u, model=model)
-            dot = float(np.sum(f * v))
-            scale = max(abs(dot), 1e-9)
-            worst_force = max(worst_force, abs((ep - em) / (2 * h) - dot)
-                              / scale)
-            fp = fea.internal_force(mesh, pm, u + h * v, model=model)
-            fm = fea.internal_force(mesh, pm, u - h * v, model=model)
-            kt = fea.tangent_stiffness(mesh, pm, u, model=model)
-            kv = (kt @ v.reshape(-1)).reshape(-1, 3)
-            num = (fp - fm) / (2 * h)
-            worst_tangent = max(
-                worst_tangent,
-                float(np.linalg.norm(num - kv) / max(np.linalg.norm(kv),
-                                                     1e-9)))
-        else:
-            u = 0.02 * rng.standard_normal((pocket.n_nodes, 3))
-            v = rng.standard_normal((pocket.n_nodes, 3))
-            v /= np.linalg.norm(v)
-            p = 30.0
-            fp = fea.pressure_force(pocket, p, u + h * v, model=pocket_model)
-            fm = fea.pressure_force(pocket, p, u - h * v, model=pocket_model)
-            kp = fea.pressure_stiffness(pocket, p, u, model=pocket_model)
-            kv = (kp @ v.reshape(-1)).reshape(-1, 3)
-            num = (fp - fm) / (2 * h)
-            worst_press = max(
-                worst_press,
-                float(np.linalg.norm(num - kv) / max(np.linalg.norm(kv),
-                                                     1e-9)))
-    ok = worst_force < 1e-6 and worst_tangent < 1e-5 and worst_press < 1e-5
-    return _result(
-        "gradient", t0, ok,
-        f"force {worst_force:.2e} (tol 1e-6), tangent {worst_tangent:.2e}, "
-        f"pressure {worst_press:.2e} (tol 1e-5), {n_states} states")
+        mesh, terms = solid if k % 3 < 2 else cavity
+        u = 0.02 * rng.standard_normal((mesh.n_nodes, 3))
+        v = rng.standard_normal((mesh.n_nodes, 3))
+        v /= np.linalg.norm(v)
+        for key, f, df in terms:
+            worst[key] = max(worst[key], _fd_gap(f, df, u, v))
+    ok = (worst["force"] < 1e-6 and worst["tangent"] < 1e-5
+          and worst["pressure"] < 1e-5)
+    return ok, (f"force {worst['force']:.2e} (tol 1e-6), tangent "
+                f"{worst['tangent']:.2e}, pressure {worst['pressure']:.2e} "
+                f"(tol 1e-5), {n_states} states")
 
 
-def check_patch(cfg=None):
+def check_patch(cfg):
     """Affine boundary displacement reproduces the affine field inside
     and its homogeneous PK2 stress at every quadrature point."""
-    t0 = time.perf_counter()
-    mesh = geometry.generate_mesh(
-        geometry.ActuatorSpec(kind="cube", element_size=0.25))
-    pm = cfgmod.material_params(cfg or cfgmod.defaults())
+    mesh = _fixture_mesh("cube", 0.25)
+    pm = cfgmod.material_params(cfg)
     grad = np.array([[0.03, 0.01, 0.0],
                      [0.0, -0.02, 0.015],
                      [0.005, 0.0, 0.025]])
@@ -207,18 +195,15 @@ def check_patch(cfg=None):
     s = mat.pk2_stress(pm, fea.Model(mesh).def_grad(u).reshape(-1, 3, 3))
     s_exact = mat.pk2_stress(pm, np.eye(3) + grad)
     stress = float(np.max(np.abs(s - s_exact)) / np.max(np.abs(s_exact)))
-    return _result(
-        "patch", t0, disp < 1e-10 and stress < 1e-10,
-        f"max deviation from affine field {disp:.2e} mm, relative PK2 "
-        f"stress deviation {stress:.2e} (tol 1e-10 each)")
+    return (disp < 1e-10 and stress < 1e-10,
+            f"max deviation from affine field {disp:.2e} mm, relative PK2 "
+            f"stress deviation {stress:.2e} (tol 1e-10 each)")
 
 
-def check_closed_cavity(cfg=None):
+def check_closed_cavity(cfg):
     """Pressure on a sealed cavity exerts no net force or moment in any
     of five random deformed states."""
-    t0 = time.perf_counter()
-    mesh = geometry.generate_mesh(
-        geometry.ActuatorSpec(kind="pocket", element_size=1.0))
+    mesh = _fixture_mesh("pocket", 1.0)
     model = fea.Model(mesh)
     _, area = face_normal_sum(mesh, "cavity")
     p = 30.0
@@ -233,17 +218,15 @@ def check_closed_cavity(cfg=None):
         worst_force = max(worst_force, float(np.linalg.norm(f.sum(axis=0))))
         moment = np.cross(mesh.nodes + u, f).sum(axis=0)
         worst_moment = max(worst_moment, float(np.linalg.norm(moment)))
-    return _result(
-        "closed-cavity", t0, worst_force < tol and worst_moment < tol,
-        f"|net force| {worst_force:.2e} N, |net moment| {worst_moment:.2e} "
-        f"N mm (tol {tol:.2e} each) over 5 states")
+    return (worst_force < tol and worst_moment < tol,
+            f"|net force| {worst_force:.2e} N, |net moment| "
+            f"{worst_moment:.2e} N mm (tol {tol:.2e} each) over 5 states")
 
 
-def check_valve_swing(cfg=None):
+def check_valve_swing(cfg):
     """Closed-form duty-cycle extremes match the valve plant stepped
     through whole fill and vent phases until the cycle repeats."""
-    t0 = time.perf_counter()
-    ew = cfgmod.build(cfg or cfgmod.defaults(), robots.EarthwormParams)
+    ew = cfgmod.build(cfg, robots.EarthwormParams)
     freqs = np.linspace(0.2, 2.0, 20)
     worst = 0.0
     for f in freqs:
@@ -251,9 +234,9 @@ def check_valve_swing(cfg=None):
                                             ew.tau_fill_s, ew.tau_vent_s)
         blo, bhi = _plant_cycle(f, ew)
         worst = max(worst, abs(lo - blo) / blo, abs(hi - bhi) / bhi)
-    return _result("valve-swing", t0, worst < 1e-3,
-                   f"worst relative gap {worst:.2e} over {len(freqs)} "
-                   f"frequencies from 0.2 to 2 Hz (tol 1e-3)")
+    return worst < 1e-3, (f"worst relative gap {worst:.2e} over "
+                          f"{len(freqs)} frequencies from 0.2 to 2 Hz "
+                          f"(tol 1e-3)")
 
 
 def _plant_cycle(freq, ew):
@@ -273,18 +256,10 @@ def _plant_cycle(freq, ew):
     return lo, hi
 
 
-def check_incompressibility(cfg=None):
+def check_incompressibility(cfg):
     """The configured material keeps solid volume within 0.5 percent."""
-    t0 = time.perf_counter()
-    try:
-        pm = cfgmod.material_params(cfg or cfgmod.defaults())
-    except ValueError as exc:
-        return _result("incompressibility", t0, False,
-                       f"material rejected: {exc}")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        mesh = geometry.generate_mesh(
-            geometry.ActuatorSpec(kind="pocket", element_size=2.0))
+    pm = cfgmod.material_params(cfg)
+    mesh = _fixture_mesh("pocket", 2.0)
     pressure_kpa = 40.0
     case = fea.LoadCase(target_pressure_kpa=pressure_kpa, increments=8)
     sol = fea.solve(mesh, pm, case)
@@ -293,38 +268,30 @@ def check_incompressibility(cfg=None):
     v0 = float(model.detjw.sum())
     v1 = float((np.linalg.det(f) * model.detjw).sum())
     rel = abs(v1 - v0) / v0
-    return _result("incompressibility", t0, rel < 5e-3,
-                   f"solid volume change {rel:.2%} at {pressure_kpa:g} kPa "
-                   f"(tol 0.50%)")
+    return rel < 5e-3, (f"solid volume change {rel:.2%} at "
+                        f"{pressure_kpa:g} kPa (tol 0.50%)")
 
 
-def check_cylinder(cfg=None):
+def check_cylinder(cfg):
     """A coarse tube inflation tracks the plane-strain closed form at
     every increment from 5 kPa to 50 kPa."""
-    t0 = time.perf_counter()
-    cfg = cfg or cfgmod.defaults()
-    c10 = cfg["material.c10_mpa"]
-    spec = geometry.ActuatorSpec(kind="tube")
-    rin = spec.width / 2.0 - spec.wall
-    mesh, sol = _cylinder_solution(2.5, c10)
+    pm = cfgmod.material_params(cfg)
+    mesh, sol = solve_cylinder(2.5, pm)
+    rin, _ = tube_radii()
     got = fea.measure_radial_expansion(mesh, sol)
     gaps = []
     for p, g in zip(sol.pressures_kpa, got):
         if p >= 5.0:
-            ref = cylinder_inner_radius_mm(p, spec, c10) - rin
+            ref = cylinder_inner_radius_mm(p, c10_mpa=pm.c10) - rin
             gaps.append(abs(g - ref) / ref)
     worst, final = max(gaps), gaps[-1]
-    return _result(
-        "cylinder", t0, worst < 0.04 and final < 0.03,
-        f"2.5 mm tube: worst gap to the closed form {worst:.2%} over "
-        f"{len(gaps)} increments from 5 kPa (tol 4%), {final:.2%} at "
-        f"{sol.pressures_kpa[-1]:g} kPa (tol 3%)")
+    return (worst < 0.04 and final < 0.03,
+            f"2.5 mm tube: worst gap to the closed form {worst:.2%} over "
+            f"{len(gaps)} increments from 5 kPa (tol 4%), {final:.2%} at "
+            f"{sol.pressures_kpa[-1]:g} kPa (tol 3%)")
 
 
-QUICK_CHECKS = ("gradient", "patch", "closed-cavity", "valve-swing")
-FULL_CHECKS = QUICK_CHECKS + ("incompressibility", "cylinder")
-
-_CHECKS = {
+CHECKS = {
     "gradient": check_gradient,
     "patch": check_patch,
     "closed-cavity": check_closed_cavity,
@@ -332,19 +299,27 @@ _CHECKS = {
     "incompressibility": check_incompressibility,
     "cylinder": check_cylinder,
 }
+FULL_CHECKS = tuple(CHECKS)
+QUICK_CHECKS = FULL_CHECKS[:4]
 
 
 def run_checks(names=QUICK_CHECKS, cfg=None):
-    """Run the named checks in order; never raises on a failing check."""
+    """A CheckResult for each named check, run in order at ``cfg`` (the
+    defaults when None); a check that raises fails instead.  KeyError
+    before any check runs if a name is not in ``CHECKS``."""
+    for name in names:
+        if name not in CHECKS:
+            raise KeyError(f"unknown check {name!r}; known: "
+                           + ", ".join(CHECKS))
+    cfg = cfgmod.defaults() if cfg is None else cfg
     results = []
     for name in names:
-        if name not in _CHECKS:
-            known = ", ".join(_CHECKS)
-            raise KeyError(f"unknown check {name!r}; known: {known}")
+        t0 = time.perf_counter()
         try:
-            results.append(_CHECKS[name](cfg))
+            passed, detail = CHECKS[name](cfg)
         except Exception as exc:  # a crashed check is a failed check
-            results.append(CheckResult(name=name, passed=False,
-                                       detail=f"crashed: {exc}",
-                                       elapsed_s=0.0))
+            passed = False
+            detail = f"crashed: {type(exc).__name__}: {exc}".removesuffix(": ")
+        results.append(CheckResult(name, bool(passed), detail,
+                                   time.perf_counter() - t0))
     return results

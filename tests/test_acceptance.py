@@ -26,7 +26,7 @@ PARAMS = material.HyperelasticParams(c10=0.24)
 # ---------------------------------------------------------- solver gates
 
 def _verify_gate(index, name, check, max_s=None):
-    result = check()
+    (result,) = verify.run_checks([check])
     fast = max_s is None or result.elapsed_s < max_s
     record_criterion(index, name, result.passed and fast,
                      f"{result.detail} in {result.elapsed_s:.1f}s")
@@ -35,15 +35,15 @@ def _verify_gate(index, name, check, max_s=None):
 
 
 def test_criterion_01_gradient_chain():
-    _verify_gate(1, "gradient-chain", verify.check_gradient, max_s=10.0)
+    _verify_gate(1, "gradient-chain", "gradient", max_s=10.0)
 
 
 def test_criterion_02_stress_patch():
-    _verify_gate(2, "stress-patch", verify.check_patch)
+    _verify_gate(2, "stress-patch", "patch")
 
 
 def test_criterion_03_closed_cavity():
-    _verify_gate(3, "closed-cavity", verify.check_closed_cavity)
+    _verify_gate(3, "closed-cavity", "closed-cavity")
 
 
 def test_criterion_04_tube_convergence():
@@ -51,7 +51,8 @@ def test_criterion_04_tube_convergence():
     exact = verify.cylinder_inner_radius_mm(50.0) - 5.0
     errors = []
     for es in (4.0, 2.0, 1.0):
-        got = verify.solve_cylinder(element_size=es)
+        mesh, sol = verify.solve_cylinder(es, PARAMS)
+        got = float(fea.measure_radial_expansion(mesh, sol)[-1])
         errors.append(abs(got - exact) / exact)
     elapsed = time.perf_counter() - start
     monotone = errors[0] > errors[1] > errors[2]
@@ -67,7 +68,7 @@ def test_criterion_04_tube_convergence():
 # ------------------------------------------------------ pneumatic gates
 
 def test_criterion_05_valve_cycle_map():
-    _verify_gate(5, "valve-cycle", verify.check_valve_swing, max_s=10.0)
+    _verify_gate(5, "valve-cycle", "valve-swing", max_s=10.0)
 
 
 def test_criterion_08_bath_regulation():

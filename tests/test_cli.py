@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pneusoft import cli, config as cfgmod, geometry, verify
+from pneusoft import cli, config as cfgmod, fea, geometry, verify
 from pneusoft import mesh as meshmod
 
 from conftest import coarse_mesh, fully_clamped, with_orphan_node
@@ -459,6 +459,39 @@ def test_solve_mesh_refuses_spec_flags(tmp_path, capsys):
     assert cli.main(argv) == 0
 
 
+def _no_solve(*args, **kwargs):
+    raise AssertionError("solved before refusing the arguments")
+
+
+def test_solve_mesh_without_tip_set_exits_2_before_solving(tmp_path, capsys,
+                                                          monkeypatch):
+    m = coarse_mesh("pocket", 2.5)
+    sets = {k: v for k, v in m.node_sets.items() if k != "tip"}
+    msh = tmp_path / "notip.msh"
+    meshmod.save_mesh(meshmod.Mesh(nodes=m.nodes, tets=m.tets, node_sets=sets,
+                                   face_sets=m.face_sets), msh)
+    monkeypatch.setattr(fea, "solve", _no_solve)
+    out = tmp_path / "s.csv"
+    rc = cli.main(["solve", "--mesh", str(msh), "--pressure", "10",
+                   "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "error: the mesh has neither a 'tip' nor an 'end1' node set to "
+        "measure; add one to the mesh file")
+    assert not out.exists()
+
+
+def test_solve_out_in_missing_directory_exits_2_before_solving(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(fea, "solve", _no_solve)
+    missing = tmp_path / "no" / "such"
+    rc = cli.main(["solve", "--kind", "pocket", "--element-size", "2.5",
+                   "--pressure", "10", "--out", str(missing / "s.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: --out directory {missing} does not exist")
+
+
 def test_verify_quick_passes(capsys):
     rc = cli.main(["verify"])
     assert rc == 0
@@ -473,3 +506,13 @@ def test_verify_flags_bad_material(capsys):
     assert rc == 1
     stdout = capsys.readouterr().out
     assert "FAIL" in stdout
+
+
+def test_verify_full_runs_every_check(capsys, monkeypatch):
+    ran = []
+    for name in list(verify.CHECKS):
+        monkeypatch.setitem(verify.CHECKS, name,
+                            lambda cfg, name=name: ran.append(name) or (1, ""))
+    assert cli.main(["verify", "--full"]) == 0
+    assert ran == list(verify.CHECKS)
+    assert f"{len(ran)}/{len(ran)} checks passed" in capsys.readouterr().out

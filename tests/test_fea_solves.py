@@ -29,12 +29,12 @@ def test_cylinder_oracle_file_matches_closed_form():
 
 
 def test_tube_inflation_tracks_thick_wall_solution():
-    result = verify.check_cylinder()
+    (result,) = verify.run_checks(["cylinder"])
     assert result.passed, result.detail
 
 
 def test_incompressibility_check_passes():
-    result = verify.check_incompressibility()
+    (result,) = verify.run_checks(["incompressibility"])
     assert result.passed, result.detail
 
 

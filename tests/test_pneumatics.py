@@ -106,6 +106,28 @@ def test_run_control_calls_controller_once_per_sample():
     assert len(trace.time_s) == 51
 
 
+@pytest.mark.parametrize("loop", ["control", "bath"])
+def test_loops_check_the_time_step_once(monkeypatch, loop):
+    # the loop checks its scalars up front; each sample steps unchecked
+    calls = []
+    checked = pneu.check
+    monkeypatch.setattr(pneu, "check",
+                        lambda *args: calls.append(args) or checked(*args))
+
+    def count(duration_s):
+        calls.clear()
+        if loop == "control":
+            pneu.run_control(pneu.PneumaticPlant(),
+                             pneu.DeadbandController(setpoint_kpa=40.0),
+                             duration_s)
+        else:
+            pneu.run_bath(pneu.BathPlant(), pneu.ThermostatController(),
+                          duration_s)
+        return len(calls)
+
+    assert count(1.0) == count(100.0) > 0
+
+
 def test_run_control_validation():
     plant = pneu.PneumaticPlant()
     ctl = pneu.DeadbandController(setpoint_kpa=40.0)
@@ -136,7 +158,7 @@ def test_cycle_amplitude_matches_brute_force_stepping():
     # the balanced-valve case of the one plant-stepping check
     cfg = config.defaults()
     cfg["earthworm.tau_fill_s"] = cfg["earthworm.tau_vent_s"] = 0.3
-    result = verify.check_valve_swing(cfg)
+    (result,) = verify.run_checks(["valve-swing"], cfg)
     assert result.passed, result.detail
 
 
