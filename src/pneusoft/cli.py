@@ -110,9 +110,11 @@ def _cmd_solve(args):
     # checked before meshing, which can take seconds; supports come after
     case = fea.LoadCase(target_pressure_kpa=args.pressure,
                         increments=increments)
-    out_dir = Path(args.out).parent
-    if not out_dir.is_dir():
-        raise ValueError(f"--out directory {out_dir} does not exist")
+    out = Path(args.out)
+    if not out.parent.is_dir():
+        raise ValueError(f"--out directory {out.parent} does not exist")
+    if out.is_dir():
+        raise ValueError(f"--out {out} is a directory; name a file")
     msh = _load_or_build_mesh(args)
     if not any(name in msh.node_sets for name in fea.TIP_SETS):
         raise ValueError("the mesh has neither a 'tip' nor an 'end1' node "
@@ -125,9 +127,12 @@ def _cmd_solve(args):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _, _, elo, bend, _ = fea.write_solution_csv(msh, sol, args.out)[-1]
+    iters, factors = (sum(rec[key] for rec in sol.log)
+                      for key in ("iterations", "factorizations"))
     print(f"solved to {sol.pressures_kpa[-1]:g} kPa in "
           f"{len(sol.pressures_kpa) - 1} increments: "
-          f"elongation {elo:.3f} mm, bend {bend:.2f} deg")
+          f"elongation {elo:.3f} mm, bend {bend:.2f} deg "
+          f"({iters} Newton iterations, {factors} LU factorizations)")
     log.info("wrote %s", args.out)
     return 0
 

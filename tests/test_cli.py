@@ -232,13 +232,24 @@ def test_solve_mesh_with_impossible_count_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_solve_tube_uses_plane_strain_supports(tmp_path, capsys):
+def test_solve_tube_uses_plane_strain_supports(tmp_path, capsys,
+                                               monkeypatch):
+    solutions = []
+    solve = fea.solve
+    monkeypatch.setattr(fea, "solve",
+                        lambda *a: solutions.append(solve(*a)) or solutions[-1])
     out = tmp_path / "tube.csv"
     rc = cli.main(["solve", "--kind", "tube", "--element-size", "4",
                    "--pressure", "50", "--increments", "5",
                    "--out", str(out)])
     assert rc == 0
-    assert "solved to 50 kPa" in capsys.readouterr().out
+    stdout = capsys.readouterr().out
+    assert "solved to 50 kPa" in stdout
+    # the summary adds up the work of the whole ramp
+    (sol,) = solutions
+    iters = sum(rec["iterations"] for rec in sol.log)
+    factors = sum(rec["factorizations"] for rec in sol.log)
+    assert f"({iters} Newton iterations, {factors} LU factorizations)" in stdout
     rows = np.loadtxt(out, delimiter=",", skiprows=1)
     assert rows[-1, 1] == pytest.approx(50.0)
     assert np.all(np.isfinite(rows))
@@ -490,6 +501,17 @@ def test_solve_out_in_missing_directory_exits_2_before_solving(
     assert rc == 2
     assert capsys.readouterr().err.startswith(
         f"error: --out directory {missing} does not exist")
+
+
+def test_solve_out_naming_a_directory_exits_2_before_meshing(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(geometry, "generate_mesh", _no_solve)
+    monkeypatch.setattr(fea, "solve", _no_solve)
+    rc = cli.main(["solve", "--kind", "pocket", "--element-size", "2.5",
+                   "--pressure", "10", "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: --out {tmp_path} is a directory; name a file")
 
 
 def test_verify_quick_passes(capsys):

@@ -442,6 +442,18 @@ def pocket_ramp(pocket_coarse):
     return fea.solve(pocket_coarse, PARAMS, POCKET_RAMP)
 
 
+# the one-chamber bending1 half finger of perfbench's cli-ramp workload,
+# where every increment discards a chord
+CLI_RAMP = fea.LoadCase(target_pressure_kpa=60.0, increments=10,
+                        extra_fixed=(("symx", "x"),))
+
+
+@pytest.fixture(scope="module")
+def cli_ramp_mesh():
+    return coarse_mesh("bending1", 10.0, symmetric_half=True, chambers=1,
+                       length=24.0)
+
+
 def test_solution_depends_on_pressure_over_c10(pocket_coarse, pocket_ramp):
     # at a fixed kappa/c10 the energy is c10 times a function of F, so
     # scaling c10 and the pressure together leaves every station in place
@@ -522,9 +534,10 @@ def _spy_layers(monkeypatch, call):
 
 
 def test_newton_calls_each_stiffness_layer_once_per_fresh_factor(
-        pocket_coarse, monkeypatch):
+        pocket_coarse, cli_ramp_mesh, monkeypatch):
     # Newton reaches both layers through the module, once per fresh
-    # factor, so wrapping them (as perfbench's spans do) sees every call
+    # factor, so wrapping them (as perfbench's spans do) sees every call;
+    # a factor built without the load stiffness calls the tangent alone
     calls = []
 
     def count(layer, args, kwargs):
@@ -532,10 +545,18 @@ def test_newton_calls_each_stiffness_layer_once_per_fresh_factor(
         return layer(*args, **kwargs)
 
     _spy_layers(monkeypatch, count)
-    sol = fea.solve(pocket_coarse, PARAMS, POCKET_RAMP)
-    fresh = sum(rec["factorizations"] - rec["fallbacks"] for rec in sol.log)
-    assert fresh > 2
-    assert calls == ["tangent_stiffness", "pressure_stiffness"] * fresh
+    for mesh, case in ((pocket_coarse, POCKET_RAMP), (cli_ramp_mesh, CLI_RAMP)):
+        calls.clear()
+        sol = fea.solve(mesh, PARAMS, case)
+        fresh = sum(rec["factorizations"] - rec["fallbacks"] for rec in sol.log)
+        unloaded = sum(rec["unloaded_factors"] for rec in sol.log)
+        assert fresh > 2
+        assert (unloaded > 0) == (mesh is cli_ramp_mesh)
+        factors = " ".join(calls).replace(
+            "tangent_stiffness pressure_stiffness", "full").split()
+        assert factors.count("full") == fresh - unloaded
+        assert factors.count("tangent_stiffness") == unloaded
+        assert len(factors) == fresh
     # a call without Newton's array gets a matrix of its own
     model = fea.Model(pocket_coarse)
     u = _random_displacement(pocket_coarse, 8)
@@ -662,6 +683,30 @@ def test_fill_order_keeps_the_minimum_degree_fill(monkeypatch):
     mmd = splu(node_block, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                relax=1, options=dict(SymmetricMode=True))
     assert seen["nnz"] == mmd.nnz == 641_524
+
+
+# station angles in degrees of CLI_RAMP with every factor the full
+# tangent, before a first factor could leave out the load stiffness
+CLI_RAMP_ANGLES = (
+    0.0, 0.5958248117112369, 1.1551828997296583,
+    1.6806800782112004, 2.1747920539926975, 2.639790851493019,
+    3.077721755302243, 3.490409245630935, 3.879477129984379,
+    4.246374219331295, 4.592396705524997,
+)
+
+
+def test_load_free_first_factor_saves_factors_on_the_finger(
+        cli_ramp_mesh, pocket_coarse):
+    sol = fea.solve(cli_ramp_mesh, PARAMS, CLI_RAMP)
+    # 33 when every factor carries the load stiffness
+    assert sum(rec["factorizations"] for rec in sol.log) <= 27
+    assert sum(rec["unloaded_factors"] for rec in sol.log) > 0
+    angles = fea.measure_bend_angle(cli_ramp_mesh, sol)
+    assert np.max(np.abs(angles - CLI_RAMP_ANGLES)) <= 1e-8
+    # the pocket discards no chord, so every factor carries the load
+    sol = fea.solve(pocket_coarse, PARAMS,
+                    fea.LoadCase(target_pressure_kpa=20.0, increments=5))
+    assert all(rec["unloaded_factors"] == 0 for rec in sol.log)
 
 
 def test_accepted_states_bound_their_correction(pocket_ramp):
