@@ -244,8 +244,11 @@ def _sweep(text):
             or vals[1] < vals[0]):
         raise ValueError("--sweep needs finite START:STOP:STEP with "
                          f"START <= STOP and STEP > 0, got {text!r}")
-    pneumatics.sample_count((vals[1] - vals[0]) / vals[2] + 1.0)
-    return np.arange(vals[0], vals[1] + 1e-9, vals[2])
+    start, stop, step = vals
+    n = int(pneumatics.sample_count((stop - start) / step + 1.0 + 1e-9))
+    # the step np.arange fills with, (START + STEP) - START, so a grid that
+    # np.arange(START, STOP + 1e-9, STEP) does not leave empty is bitwise its
+    return start + ((start + step) - start) * np.arange(n)
 
 
 def _write_rows(path, header, rows):

@@ -41,11 +41,11 @@ node adjacency, and the position in its data of every entry of the
 element and face matrices, found by one search.  Entries on a
 constrained DOF go to one extra slot past the data, which is dropped, so
 the matrices are the free-DOF block Newton factors and no sparse
-structure is built or sliced per iteration.  The element tangents reach
-the data ``_BLOCK`` tets at a time, so the kernel's temporaries scale
-with the block and not with the mesh.  The solve allocates one data
-array for its Newton matrices: each fresh factor zeroes it, adds the
-element tangents into it and subtracts the face load stiffness from it.
+structure is built or sliced per iteration.  Both stiffness layers add
+into the data by ``np.add.at`` at those positions, the tangent ``_BLOCK``
+tets at a time, so its temporaries scale with the block, not the mesh.
+The solve allocates one data array for its Newton matrices: each fresh
+factor zeroes it and adds the tangent and the load stiffness at -p.
 
 The solve's Model numbers its free DOFs in fill order: the minimum-degree
 ordering of A^T + A, which depends on the sparsity pattern alone, is
@@ -201,11 +201,12 @@ class Model:
     order, the CSC structure (``indptr``, ``indices``) on the numbered
     DOF pairs that share a tet and ``tet_pos``, the position in its data
     of every entry of the element matrices laid out (M, (a, i), (b, k)),
-    all at once; and each face set's data on its own.  The structure is
-    the node adjacency (boolean tet-node incidence times its transpose)
-    in 3 x 3 DOF blocks, sliced to the numbered DOFs and permuted into
-    model order; ``_positions`` finds the tet and face positions, stored
-    in the integer type of ``indices``, without keeping its keys.
+    all at once; and each face set's data, ``face_pos`` the same table
+    for its face matrices, on its own.  The structure is the node
+    adjacency (boolean tet-node incidence times its transpose) in 3 x 3
+    DOF blocks, sliced to the numbered DOFs and permuted into model
+    order; ``_positions`` finds the tet and face positions, stored in
+    the integer type of ``indices``, without keeping its keys.
     """
 
     def __init__(self, mesh, free=None):
@@ -275,20 +276,17 @@ class Model:
         return self._faces[name]
 
     def face_pos(self, name):
-        """(stored, inverse): the distinct data positions the load
-        stiffness of face set ``name`` touches, ascending, and the index
-        into them of each entry of its face matrices laid out (K, (a, i),
-        (b, k)).  A pair with a constrained DOF goes to position nnz.
+        """The data position of every entry of the face matrices of face
+        set ``name``, laid out (K, (a, i), (b, k)) and flattened as
+        ``tet_pos`` is, K * 324 entries; a pair with a constrained DOF
+        goes to position nnz.
 
         Raises ValueError for a free DOF pair outside the sparsity
         pattern, whose entries would otherwise be lost.
         """
         if name not in self._face_pos:
-            pos = _positions(self.indptr, self.indices, self.number,
-                             self.faces(name)[0])
-            stored, inverse = np.unique(pos, return_inverse=True)
-            idx = self.indices.dtype
-            self._face_pos[name] = stored.astype(idx), inverse.astype(idx)
+            self._face_pos[name] = _positions(
+                self.indptr, self.indices, self.number, self.faces(name)[0])
         return self._face_pos[name]
 
     def _matrix(self, data):
@@ -446,18 +444,18 @@ def pressure_force(mesh, pressure_kpa, u, face_set="cavity", *, model=None):
 
 
 def pressure_stiffness(mesh, pressure_kpa, u, face_set="cavity", *,
-                       model=None, subtract_from=None):
+                       model=None, add_to=None):
     """Sparse d f_pressure / d u on the model's DOFs and the pattern of
     ``tangent_stiffness``; the load stiffness is unsymmetric.  With n =
     t0 x t1, dn = sum_b v_b x du_b for v_b = dN_b/deta t0 - dN_b/dxi t1,
     so K[a i, b m] = -p (V_ab x e_m)_i = -p eps_ijm V_ab,j with
     V_ab = sum_q w N_a v_b.
 
-    The face entries are summed per stored position first, in face
-    order.  The data is a fresh array unless ``subtract_from``, a data
-    array as ``tangent_stiffness`` takes for ``add_to``, is given: those
-    sums are then subtracted from it, and the returned matrix shares its
-    memory.
+    The face matrices are added at ``model.face_pos`` by ``np.add.at``,
+    in face order, into a fresh array unless ``add_to`` is given, as
+    ``tangent_stiffness`` takes it.  The matrix is linear in the
+    pressure and only ``-p`` carries its sign, so the call at
+    ``-pressure_kpa`` gives bitwise the negated data.
     """
     model = model or Model(mesh)
     _, t, _ = _deformed_tangents(model, face_set, u)
@@ -466,14 +464,8 @@ def pressure_stiffness(mesh, pressure_kpa, u, face_set="cavity", *,
     # -p eps_ijm V_j sits at [f, a, b, (i, m)]
     ke = (vab.reshape(-1, 3) @ (-p * _LEVI_CIVITA)).reshape(
         len(t), 6, 6, 3, 3).transpose(0, 1, 3, 2, 4)
-    stored, inverse = model.face_pos(face_set)
-    sums = np.bincount(inverse, weights=ke.ravel(), minlength=len(stored))
-    if subtract_from is None:
-        data = np.zeros(len(model.indices) + 1)
-        data[stored] = sums
-    else:
-        data = subtract_from
-        data[stored] -= sums
+    data = np.zeros(len(model.indices) + 1) if add_to is None else add_to
+    np.add.at(data, model.face_pos(face_set), ke.ravel())
     return model._matrix(data)
 
 
@@ -543,15 +535,16 @@ def _newton(params, model, face_set, pressure_kpa, u0, stats, data,
     hold their prescribed values; returns (u, iterations, residual
     history, correction).  ``data``, a float array of length nnz + 1 that
     the solve allocates once, holds the matrix of each fresh factor: it
-    is zeroed, the tangent is added into it and the load stiffness
-    subtracted from it.  With ``unload_first`` the first fresh factor
-    skips that subtraction, so its first step is a modified-Newton step
-    on the element tangent alone; every later factor is the full
-    tangent.  ``solve`` sets it only after an increment that started
-    from the parabola and discarded a chord: a load-free first step from
-    the secant sustains its own discards (see the module docstring).
-    The acceptance tests below are the same either way, so the flag
-    changes the path to a state, not which states are accepted.
+    is zeroed, and the tangent and the load stiffness at -p are added
+    into it through ``add_to``: exactly the tangent minus the load
+    stiffness.  With ``unload_first`` the first fresh factor skips the
+    load stiffness, so its first step is a modified-Newton step on the
+    element tangent alone; every later factor is the full tangent.
+    ``solve`` sets it only after an increment that started from the
+    parabola and discarded a chord: a load-free first step from the
+    secant sustains its own discards (see the module docstring).  The
+    acceptance tests below are the same either way, so the flag changes
+    the path to a state, not which states are accepted.
 
     A state is accepted when its residual passes the ``REL_TOL`` test
     *and* the Newton correction that produced it has ||du|| <=
@@ -622,8 +615,9 @@ def _newton(params, model, face_set, pressure_kpa, u0, stats, data,
                     if unload_first:
                         stats["unloaded_factors"] += 1
                     else:
-                        pressure_stiffness(mesh, pressure_kpa, u, face_set,
-                                           model=model, subtract_from=data)
+                        # exact: ke(-p) is -ke(p) bitwise, x + (-y) is x - y
+                        pressure_stiffness(mesh, -pressure_kpa, u, face_set,
+                                           model=model, add_to=data)
                 unload_first = False
                 stats["factorizations"] += 1
                 try:

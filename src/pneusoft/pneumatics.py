@@ -163,17 +163,19 @@ def cycle_amplitude(frequency_hz, duty=0.5, supply_kpa=DEFAULT_SUPPLY_KPA,
 
         p_max = supply * (1 - a) / (1 - a * b),   p_min = b * p_max
 
-    with a = exp(-duty / (f * tau_fill)) and
-    b = exp(-(1 - duty) / (f * tau_vent)).  The swing p_max - p_min
+    with a = exp(-x), x = duty / (f * tau_fill), and b = exp(-y),
+    y = (1 - duty) / (f * tau_vent).  Both differences are taken as
+    -expm1, so they keep their digits as a and b near 1 and p_max tends
+    to supply * x / (x + y) at high frequency.  The swing p_max - p_min
     shrinks monotonically as the frequency grows.
     """
     ctl = DutyCycleController(frequency_hz=frequency_hz, duty=duty)
     plant = PneumaticPlant(supply_kpa=supply_kpa, tau_fill_s=tau_fill_s,
                            tau_vent_s=tau_vent_s)
-    a = math.exp(-ctl.duty / (frequency_hz * plant.tau_fill_s))
-    b = math.exp(-(1.0 - ctl.duty) / (frequency_hz * plant.tau_vent_s))
-    p_max = supply_kpa * (1.0 - a) / (1.0 - a * b)
-    return b * p_max, p_max
+    x = ctl.duty / (frequency_hz * plant.tau_fill_s)
+    y = (1.0 - ctl.duty) / (frequency_hz * plant.tau_vent_s)
+    p_max = supply_kpa * math.expm1(-x) / math.expm1(-(x + y))
+    return math.exp(-y) * p_max, p_max
 
 
 DEFAULT_HEATER_W = 2000.0

@@ -154,8 +154,13 @@ class QuadrupedParams:
 
 def quadruped_bend_angle(pressure_kpa):
     """Leg tip angle in degrees at a held pressure, interpolated in the
-    bend table."""
+    bend table; ValueError above its last row, where no solve says how
+    far the leg bends."""
     check("pressure_kpa", pressure_kpa, "non_negative")
+    top = QUADRUPED_BEND_TABLE_KPA[-1]
+    if pressure_kpa > top:
+        raise ValueError(f"pressure_kpa must lie in the bend table's "
+                         f"0-{top:g} kPa, got {pressure_kpa}")
     return float(np.interp(pressure_kpa, QUADRUPED_BEND_TABLE_KPA,
                            QUADRUPED_BEND_TABLE_DEG))
 
@@ -172,7 +177,7 @@ def quadruped_speed(params, pressure_kpa, load_g=0.0):
     if pressure_kpa > params.max_pressure_kpa:
         warnings.warn(
             f"{pressure_kpa:g} kPa exceeds the {params.max_pressure_kpa:g} "
-            f"kPa stance envelope of the legs; speed extrapolated")
+            f"kPa stance envelope of the legs")
     step_mm = 2.0 * params.leg_length_mm * math.sin(angle / 2.0)
     derate = max(0.0, 1.0 - load_g / params.stall_load_g)
     return 2.0 * step_mm * derate / params.cycle_s

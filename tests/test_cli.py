@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pneusoft import cli, config as cfgmod, fea, geometry, verify
+from pneusoft import cli, config as cfgmod, fea, geometry, robots, verify
 from pneusoft import mesh as meshmod
 
 from conftest import coarse_mesh, fully_clamped, with_orphan_node
@@ -322,11 +322,21 @@ def test_calibrate_has_no_length_flag(tmp_path, capsys):
     assert "--length" in capsys.readouterr().err
 
 
-def test_robot_earthworm_sweep(tmp_path, capsys):
+def test_robot_earthworm_sweep(tmp_path, capsys, monkeypatch):
     out = tmp_path / "sweep.csv"
+    grids = []
+    sweep = robots.earthworm_frequency_sweep
+
+    def record(params, freqs):
+        grids.append(freqs)
+        return sweep(params, freqs)
+
+    monkeypatch.setattr(robots, "earthworm_frequency_sweep", record)
     rc = cli.main(["robot", "earthworm", "--sweep", "0.2:1.6:0.1",
                    "--out", str(out)])
     assert rc == 0
+    # the default grid, bitwise as np.arange builds it
+    assert np.array_equal(grids[0], np.arange(0.2, 1.6 + 1e-9, 0.1))
     assert "peak speed" in capsys.readouterr().out
     lines = out.read_text().splitlines()
     assert lines[0] == "freq_Hz,speed_mm_s"
@@ -335,6 +345,23 @@ def test_robot_earthworm_sweep(tmp_path, capsys):
     best = rows[np.argmax(rows[:, 1])]
     assert abs(best[0] - 0.8) <= 0.1 + 1e-9
     assert abs(best[1] - 16.0) <= 0.2 * 16.0
+
+
+@pytest.mark.parametrize("sweep, freqs", [
+    ("1e16:1e17:3e16", [1e16, 4e16, 7e16, 1e17]),
+    ("1e17:1e17:1", [1e17]),
+])
+def test_robot_earthworm_sweep_at_high_frequency(tmp_path, capsys, sweep,
+                                                 freqs):
+    # the first grid ended in a ZeroDivisionError from the cycle closed
+    # form; the second was empty and exited on an argmax of nothing
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["robot", "earthworm", "--sweep", sweep,
+                     "--out", str(out)]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    assert np.array_equal(rows[:, 0], freqs)
+    assert np.all(np.isfinite(rows[:, 1]))
+    assert "peak speed" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [
@@ -386,6 +413,15 @@ def test_robot_out_of_range_setting_exits_2(capsys):
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == ("error: max_pressure_kpa must be "
                                        "positive and finite, got -5.0\n")
+
+
+def test_robot_quadruped_above_bend_table_exits_2(capsys):
+    # with the envelope raised past it, 90 kPa printed the 60 kPa speed
+    argv = ["robot", "quadruped", "--pressure", "90",
+            "--set", "quadruped.max_pressure_kpa=100"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == ("error: pressure_kpa must lie in the "
+                                       "bend table's 0-60 kPa, got 90.0\n")
 
 
 def test_robot_quadruped_reports_anchor(capsys):

@@ -21,6 +21,12 @@ from conftest import (coarse_mesh, fully_clamped, lagrangian_tensor, rotation,
 PARAMS = material.HyperelasticParams(c10=0.24)
 
 
+@pytest.fixture(scope="module")
+def bend_ramp_mesh():
+    # the bending2 half of perfbench's bend-ramp workload
+    return coarse_mesh("bending2", 8.0, symmetric_half=True)
+
+
 def _square_face_mesh():
     """Two TRI6 faces tiling the unit square at z = 0, wound +z."""
     nodes = np.array([[x, y, 0.0]
@@ -123,9 +129,18 @@ class _Stop(Exception):
     pass
 
 
+def _accumulated(mesh, u, pressure_kpa, model):
+    """The Newton matrix on ``model`` as the solve builds it: the tangent
+    and then the load stiffness at -p added into one zeroed array."""
+    data = np.zeros(len(model.indices) + 1)
+    fea.tangent_stiffness(mesh, PARAMS, u, model=model, add_to=data)
+    return fea.pressure_stiffness(mesh, -pressure_kpa, u, model=model,
+                                  add_to=data)
+
+
 def test_newton_factors_free_block_of_pattern(pocket_coarse, monkeypatch):
     # the matrix Newton factors equals the free-DOF block of the full
-    # model's tangent minus its load stiffness at the same state, taken in
+    # model's matrix accumulated the same way at the same state, taken in
     # the order of the solve's model
     seen = {}
     tangent = fea.tangent_stiffness
@@ -147,19 +162,34 @@ def test_newton_factors_free_block_of_pattern(pocket_coarse, monkeypatch):
     fixed = 3 * pocket_coarse.node_set("fixed")[:, None] + np.arange(3)
     assert np.array_equal(np.sort(dofs), np.setdiff1d(
         np.arange(3 * pocket_coarse.n_nodes), fixed))
-    want = (tangent(pocket_coarse, PARAMS, u, model=full)
-            - fea.pressure_stiffness(pocket_coarse, 20.0, u, model=full))
-    want = want.tocsr()[dofs][:, dofs]
+    monkeypatch.setattr(fea, "tangent_stiffness", tangent)
+    want = _accumulated(pocket_coarse, u, 20.0, full).tocsr()[dofs][:, dofs]
     got = seen["kff"]
     assert got.format == "csc" and got.has_sorted_indices
     assert got.shape == want.shape
     assert abs(got - want).max() == 0.0
 
 
-def test_free_dof_model_gives_the_free_block():
+@pytest.mark.parametrize("name", ["pocket_coarse", "bend_ramp_mesh"])
+def test_load_stiffness_adds_in_with_its_sign(name, request):
+    # the call at -p is bitwise the negation of the call at p, so adding
+    # it is the subtraction; entry by entry in face order it differs from
+    # the sparse T - K_p, summed per entry first, in the last bits only
+    mesh = request.getfixturevalue(name)
+    model = fea.Model(mesh)
+    u = _random_displacement(mesh, 6, scale=0.01)
+    kp = fea.pressure_stiffness(mesh, 20.0, u, model=model)
+    neg = fea.pressure_stiffness(mesh, -20.0, u, model=model)
+    assert np.array_equal(neg.data, -kp.data)
+    got = _accumulated(mesh, u, 20.0, model)
+    want = fea.tangent_stiffness(mesh, PARAMS, u, model=model) - kp
+    assert abs(got - want).max() <= 1e-15 * abs(want).max()
+
+
+def test_free_dof_model_gives_the_free_block(bend_ramp_mesh):
     # the half bending2 cavity touches the x-pinned symx plane, so some
     # load-stiffness pairs have a constrained DOF and are dropped
-    mesh = coarse_mesh("bending2", 8.0, symmetric_half=True)
+    mesh = bend_ramp_mesh
     mask = np.zeros((mesh.n_nodes, 3), dtype=bool)
     mask[mesh.node_set("fixed")] = True
     mask[mesh.node_set("symx"), 0] = True
@@ -179,7 +209,7 @@ def test_free_dof_model_gives_the_free_block():
         col = np.repeat(np.arange(m.n_dof), np.diff(m.indptr))
         assert set(zip(col.tolist(), m.indices.tolist())) == pairs
         assert np.all(np.diff(col * m.n_dof + m.indices) > 0)
-    assert model.face_pos("cavity")[0][-1] == len(model.indices)
+    assert model.face_pos("cavity").max() == len(model.indices)
     u = _random_displacement(mesh, 5, scale=0.01)
     for layer, args in ((fea.tangent_stiffness, (PARAMS, u)),
                         (fea.pressure_stiffness, (30.0, u))):
@@ -633,21 +663,19 @@ def test_solved_model_keeps_no_key_array(pocket_coarse, monkeypatch):
     fea.solve(mesh, PARAMS, POCKET_RAMP)
     model = models[0]
     assert all(m is model for m in models)
-    stored, _ = model.face_pos("cavity")            # as the solve left it
     m, n3, n, nnz = len(tets), 3 * mesh.n_nodes, model.n_dof, len(model.indices)
     n_q, k = model.detjw.shape[1], len(mesh.face_set("cavity"))
     budget = (m * n_q * (2 * 30 + 1) * 8             # dndx, wdndx, detjw
               + n3 * (1 + 8) + n * 8                 # free, number, dofs
               + (n + 1 + nnz + 900 * m) * 4          # indptr, indices, tet_pos
               + k * (6 + model.faces("cavity")[1].shape[1]) * 8
-              + (stored.size + 324 * k) * 4)         # face positions
+              + 324 * k * 4)                         # face_pos
     total = _array_bytes({key: value for key, value in vars(model).items()
                           if key != "mesh"}, set())
     assert total <= budget < total + 8 * nnz
     for name in ("cavity", "tets"):
         faces = mesh.face_set(name)
-        stored, inverse = model.face_pos(name)
-        pos = stored[inverse].reshape(len(faces), 18, 18)
+        pos = model.face_pos(name).reshape(len(faces), 18, 18)
         dof = model.number[3 * faces[..., None] + np.arange(3)].reshape(
             len(faces), 1, 18)
         col, row = np.broadcast_arrays(dof, dof.swapaxes(1, 2))
@@ -660,10 +688,11 @@ def test_solved_model_keeps_no_key_array(pocket_coarse, monkeypatch):
         model.face_pos("bad")
 
 
-def test_fill_order_keeps_the_minimum_degree_fill(monkeypatch):
+def test_fill_order_keeps_the_minimum_degree_fill(bend_ramp_mesh,
+                                                  monkeypatch):
     # the first bend-ramp tangent factored in the model's order has the
     # fill of SuperLU's minimum degree on the node-ordered free block
-    mesh = coarse_mesh("bending2", 8.0, symmetric_half=True)
+    mesh = bend_ramp_mesh
     seen = {}
 
     def first(k, **kwargs):

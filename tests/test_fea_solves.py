@@ -51,6 +51,19 @@ def test_linear_actuator_extends_under_pressure():
     assert lateral.max() > 0.05
 
 
+def test_bend_ramp_counts_and_answer():
+    # the bending2 half ramp at c10 = 0.24 that perfbench's bend-ramp
+    # times: its LU and Newton counts, and the angle they reach
+    mesh = coarse_mesh("bending2", 8.0, symmetric_half=True)
+    case = fea.LoadCase(target_pressure_kpa=60.0, increments=60,
+                        extra_fixed=(("symx", "x"),))
+    sol = fea.solve(mesh, material.HyperelasticParams(c10=0.24), case)
+    assert sum(rec["factorizations"] for rec in sol.log) <= 67
+    assert sum(rec["iterations"] for rec in sol.log) <= 186
+    angle = fea.measure_bend_angle(mesh, sol)[-1]
+    assert abs(angle - 13.1431806804) <= 1e-8
+
+
 def test_bending_angles_match_a_tight_solve(monkeypatch):
     # the softest tangent mode is the bending itself, so a residual test
     # alone leaves about 5e-6 deg of solver error in these angles; the

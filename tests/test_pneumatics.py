@@ -181,6 +181,17 @@ def test_cycle_amplitude_swing_shrinks_with_frequency():
     assert all(b < a for a, b in zip(swings, swings[1:]))
 
 
+@pytest.mark.parametrize("freq", [1e15, 1e17])
+def test_cycle_amplitude_high_frequency_limit(freq):
+    # the swing vanishes at supply * x / (x + y), x and y the fill and
+    # vent exponents; 1 - a and 1 - a * b by subtraction read 25.556 kPa
+    # at 1e15 Hz and divided 0 by 0 at 1e17 Hz
+    x, y = 0.5 / pneu.DEFAULT_TAU_FILL_S, 0.5 / pneu.DEFAULT_TAU_VENT_S
+    want = 40.0 * x / (x + y)
+    for p in pneu.cycle_amplitude(freq, supply_kpa=40.0):
+        assert p == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
 def test_cycle_amplitude_validation():
     with pytest.raises(ValueError):
         pneu.cycle_amplitude(0.0)

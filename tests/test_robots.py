@@ -158,6 +158,17 @@ def test_quadruped_pressure_warning():
         robots.quadruped_speed(QUAD, 60.0)
 
 
+def test_quadruped_refuses_pressure_above_bend_table():
+    # interpolation held the 60 kPa row above it: 35.40 mm/s at 60, 70,
+    # 90 and 150 kPa alike
+    top = robots.QUADRUPED_BEND_TABLE_KPA[-1]
+    assert robots.quadruped_bend_angle(top) == robots.QUADRUPED_BEND_TABLE_DEG[-1]
+    params = robots.QuadrupedParams(max_pressure_kpa=200.0)
+    for p in (top + 1e-9, 70.0, 150.0):
+        with pytest.raises(ValueError, match="bend table's 0-60 kPa"):
+            robots.quadruped_speed(params, p)
+
+
 def test_gait_schedule_tiles_cycle():
     phases = robots.quadruped_gait_schedule(QUAD)
     assert phases[0][:2] == (0.0, 0.45)
