@@ -3,6 +3,9 @@
 Exit codes: 0 on success, 1 when a verification check fails or a solve
 cannot converge, 2 for usage and input errors (bad flags, invalid specs,
 unknown config keys, malformed files).
+
+``calibrate`` and ``verify`` alone import ``verify`` and with it SciPy's
+quadrature and optimizer, about 0.3 s that the other commands skip.
 """
 
 import argparse
@@ -15,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from . import config as cfgmod
-from . import fea, geometry, pneumatics, robots, verify
+from . import fea, geometry, pneumatics, robots
 from . import material as mat
 from .mesh import load_mesh, mesh_quality, save_mesh
 
@@ -95,9 +98,9 @@ def _supports(msh):
     """(fixed_set, extra_fixed) from the mesh's node sets: the clamped
     end ``fixed`` (plus the symmetry plane ``symx`` of a half model), or
     else the plane-strain supports of a tube slice."""
-    tube_sets = {name for name, _ in verify.CYLINDER_FIXED}
-    if "fixed" not in msh.node_sets and tube_sets <= set(msh.node_sets):
-        return None, verify.CYLINDER_FIXED
+    if "fixed" not in msh.node_sets and all(
+            name in msh.node_sets for name, _ in fea.TUBE_SUPPORTS):
+        return None, fea.TUBE_SUPPORTS
     extra = (("symx", "x"),) if "symx" in msh.node_sets else ()
     return "fixed", extra
 
@@ -116,9 +119,7 @@ def _cmd_solve(args):
     if out.is_dir():
         raise ValueError(f"--out {out} is a directory; name a file")
     msh = _load_or_build_mesh(args)
-    if not any(name in msh.node_sets for name in fea.TIP_SETS):
-        raise ValueError("the mesh has neither a 'tip' nor an 'end1' node "
-                         "set to measure; add one to the mesh file")
+    fea.tip_set(msh)                       # the end the table measures
     fixed, extra = _supports(msh)
     case = dataclasses.replace(case, fixed_set=fixed, extra_fixed=extra)
     try:
@@ -138,6 +139,7 @@ def _cmd_solve(args):
 
 
 def _cmd_calibrate(args):
+    from . import verify
     cfg = _resolve_config(args)
     spec = geometry.ActuatorSpec(kind="tube", width=args.width, wall=args.wall)
     rows = np.loadtxt(args.observations, delimiter=",", skiprows=1,
@@ -170,8 +172,10 @@ def _cmd_robot(args):
         params = cfgmod.build(cfg, robots.EarthwormParams)
         table = robots.earthworm_frequency_sweep(params, _sweep(args.sweep))
         _write_rows(args.out, "freq_Hz,speed_mm_s", table)
-        best = table[np.argmax(table[:, 1])]
-        print(f"peak speed {best[1]:.2f} mm/s at {best[0]:.2f} Hz")
+        freq, speed = table[np.argmax(np.abs(table[:, 1]))]
+        print("peak speed 0.00 mm/s: the worm stalls at every frequency"
+              if speed == 0.0 else f"peak speed {abs(speed):.2f} mm/s "
+              f"{'forward' if speed > 0 else 'backward'} at {freq:.2f} Hz")
     elif args.robot == "quadruped":
         params = cfgmod.build(cfg, robots.QuadrupedParams)
         table = robots.quadruped_speed_table(params, _floats(args.pressures),
@@ -222,6 +226,7 @@ def _cmd_control(args):
 
 
 def _cmd_verify(args):
+    from . import verify
     cfg = _resolve_config(args)
     names = verify.FULL_CHECKS if args.full else verify.QUICK_CHECKS
     results = verify.run_checks(names, cfg)

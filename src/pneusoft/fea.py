@@ -17,22 +17,20 @@ station spacing, and the step doubles again after each success without
 passing the next station.
 
 One rule saves factors where the first Newton step overshoots along a
-soft bending mode.  On the one-chamber bending1 half finger at 10 mm,
-every increment predicted by the parabola discards the chord after its
-first step and spends three fresh factors.  So when the last accepted
-increment started from the parabola (three accepted states) and
-discarded a chord, the first fresh factor of each trial step is built
-from the element tangent alone, without the load stiffness; every later
-factor, and every factor of any other increment, is the full tangent.
-Such an increment there takes two factors: that finger's 10-station ramp
-takes 27 LUs instead of 33, and the bending1 half at 5 mm 131 instead of
-151.  The gate on the parabola keeps the rule out of the start-up
-increments, which the constant and the secant predict.  On the bending2
-half at 4 mm those discard chords too, and there a load-free first step
-discards again at every increment after (125 LUs instead of 73 without
-the gate; with no gate at all, the 8 mm half takes 121 instead of 67).
-A state is still accepted only by the residual and correction tests, so
-the rule changes the path and not the tolerance of the answer.
+soft bending mode.  The first fresh factor of a trial step is built from
+the element tangent alone, without the load stiffness, on the first
+increment and after an increment that started from the parabola (three
+accepted states) and discarded a chord; every other factor is the full
+tangent.  The one-chamber bending1 half finger at 10 mm, where every
+parabola increment discards its first chord, then takes 25 LUs over 10
+stations instead of 33, and the bending1 half at 5 mm 128 instead of
+151.  The gate on the parabola keeps the discards of the start-up
+increments, which the constant and the secant predict, from unloading
+the next: on the bending2 half at 4 mm those discard chords too, and a
+load-free first step there discards again at every later increment (125
+LUs instead of 73).  A state is still accepted only by the residual and
+correction tests, so the rule changes the path and not the tolerance of
+the answer.
 
 One ``Model`` per solve owns the discretization, including the free-DOF
 numbering and one sparsity pattern on it: the CSC structure of the free
@@ -540,11 +538,11 @@ def _newton(params, model, face_set, pressure_kpa, u0, stats, data,
     stiffness.  With ``unload_first`` the first fresh factor skips the
     load stiffness, so its first step is a modified-Newton step on the
     element tangent alone; every later factor is the full tangent.
-    ``solve`` sets it only after an increment that started from the
-    parabola and discarded a chord: a load-free first step from the
-    secant sustains its own discards (see the module docstring).  The
-    acceptance tests below are the same either way, so the flag changes
-    the path to a state, not which states are accepted.
+    ``solve`` sets it on the first increment and after an increment that
+    started from the parabola and discarded a chord: a load-free first
+    step from the secant sustains its own discards (see the module
+    docstring).  The acceptance tests below are the same either way, so
+    the flag changes the path to a state, not which states are accepted.
 
     A state is accepted when its residual passes the ``REL_TOL`` test
     *and* the Newton correction that produced it has ||du|| <=
@@ -676,10 +674,11 @@ def solve(mesh, params, case, prescribed=None):
     four counts of the work spent on it, rejected attempts included:
     ``factorizations``, ``fallbacks``, ``discarded_chords`` (chord steps
     thrown away for not contracting) and ``unloaded_factors`` (fresh
-    factors built without the load stiffness).  When the last accepted
-    increment started from the parabola and its ``discarded_chords`` is
-    nonzero, the first factor of each trial step leaves the load
-    stiffness out; no other state carries from one increment to the next.
+    factors built without the load stiffness).  The first factor of each
+    trial step leaves the load stiffness out on the first increment,
+    bisected retries included, and when the last accepted increment
+    started from the parabola and its ``discarded_chords`` is nonzero; no
+    other state carries from one increment to the next.
     """
     mask = _fixed_mask(mesh, case)
     values = np.zeros((mesh.n_nodes, 3))
@@ -717,9 +716,10 @@ def solve(mesh, params, case, prescribed=None):
             trial = station if t + dt >= station - 1e-12 else t + dt
             dt = trial - t
             guess = _extrapolate(states, trial)
-            # the last accepted increment, the third or later, started
-            # from the parabola and discarded a chord
-            unload = len(sol.log) > 3 and sol.log[-1]["discarded_chords"] > 0
+            # the first increment, or one after an increment that started
+            # from the parabola (the third or later) and discarded a chord
+            unload = len(sol.log) == 1 or (
+                len(sol.log) > 3 and sol.log[-1]["discarded_chords"] > 0)
             try:
                 un, iters, hist, correction = _newton(
                     params, model, case.pressure_set, trial * target,
@@ -751,22 +751,24 @@ def solve(mesh, params, case, prescribed=None):
 
 # ----------------------------------------------------------- measurements
 
-TIP_SETS = ("tip", "end1")  # measured in this order when no set is named
+TIP_SETS = ("tip", "end1")  # the measured end: the first of these a mesh has
+# a tube slice in plane strain: ends held in z, x-axis nodes in y, y-axis in x
+TUBE_SUPPORTS = (("end0", "z"), ("end1", "z"), ("xaxis", "y"), ("yaxis", "x"))
 
 
-def _tip_set(mesh, node_set):
-    if node_set is not None:
-        return mesh.node_set(node_set)
+def tip_set(mesh):
+    """Node ids of the measured end, the ``tip`` set or else ``end1``;
+    KeyError naming both when the mesh has neither."""
     for name in TIP_SETS:
         if name in mesh.node_sets:
             return mesh.node_sets[name]
-    raise KeyError("mesh has neither a 'tip' nor an 'end1' node set; "
-                   "pass node_set explicitly")
+    raise KeyError("the mesh has neither a 'tip' nor an 'end1' node set to "
+                   "measure; add one to the mesh file")
 
 
-def measure_elongation(mesh, solution, node_set=None):
+def measure_elongation(mesh, solution):
     """Axial (z) displacement of the free-end centroid per increment, mm."""
-    ids = _tip_set(mesh, node_set)
+    ids = tip_set(mesh)
     return np.array([float(np.mean(u[ids, 2])) for u in solution.displacements])
 
 
@@ -779,14 +781,14 @@ def _plane_normal(coords):
     return vt[2]
 
 
-def measure_bend_angle(mesh, solution, node_set=None):
+def measure_bend_angle(mesh, solution):
     """Tip-plane rotation per increment, degrees in [0, 180).
 
     The normal of the best-fit plane through the free-end nodes is
     tracked with sign continuity across increments, so angles beyond 90
     degrees are reported correctly.
     """
-    ids = _tip_set(mesh, node_set)
+    ids = tip_set(mesh)
     ref = _plane_normal(mesh.nodes[ids])
     prev = ref
     angles = []
@@ -806,32 +808,28 @@ def measure_max_displacement(solution):
                      for u in solution.displacements])
 
 
-def measure_radial_expansion(mesh, solution, node_set="inner"):
-    """Mean radial (xy) displacement of a node set per increment, mm."""
-    ids = mesh.node_set(node_set)
-    r0 = np.linalg.norm(mesh.nodes[ids, :2], axis=1)
-    out = []
-    for u in solution.displacements:
-        r = np.linalg.norm(mesh.nodes[ids, :2] + u[ids, :2], axis=1)
-        out.append(float(np.mean(r - r0)))
-    return np.array(out)
+def measure_radial_expansion(mesh, solution):
+    """Mean radial (xy) displacement of the ``inner`` set per increment, mm."""
+    ids = mesh.node_set("inner")
+    x = mesh.nodes[ids, :2]
+    r0 = np.linalg.norm(x, axis=1)
+    return np.array([float(np.mean(np.linalg.norm(x + u[ids, :2], axis=1) - r0))
+                     for u in solution.displacements])
 
 
-def solution_table(mesh, solution, node_set=None):
+def solution_table(mesh, solution):
     """Rows of (increment, pressure_kPa, elongation_mm, bend_angle_deg,
     max_displacement_mm) for CSV export."""
-    elo = measure_elongation(mesh, solution, node_set)
-    bend = measure_bend_angle(mesh, solution, node_set)
+    elo = measure_elongation(mesh, solution)
+    bend = measure_bend_angle(mesh, solution)
     disp = measure_max_displacement(solution)
-    rows = []
-    for i, p in enumerate(solution.pressures_kpa):
-        rows.append((i, float(p), elo[i], bend[i], disp[i]))
-    return rows
+    return [(i, float(p), elo[i], bend[i], disp[i])
+            for i, p in enumerate(solution.pressures_kpa)]
 
 
-def write_solution_csv(mesh, solution, path, node_set=None):
+def write_solution_csv(mesh, solution, path):
     """Write ``solution_table`` as CSV to ``path``; returns its rows."""
-    rows = solution_table(mesh, solution, node_set)
+    rows = solution_table(mesh, solution)
     np.savetxt(path, rows, fmt="%.6g", delimiter=",", comments="",
                header="increment,pressure_kPa,elongation_mm,bend_angle_deg,"
                       "max_displacement_mm")

@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .checks import check_fields
 
@@ -155,8 +154,10 @@ def calibrate_c10(pressures, displacements, forward_model,
     for the observation pressures.  The sum of squared residuals is
     minimized by bounded scalar search; the bracket is tightened below
     1e-3 MPa.  Hitting either search bound raises a warning because the
-    optimum then sits outside the trusted range.
+    optimum then sits outside the trusted range.  SciPy's optimizer is
+    imported by the call, so a solve never loads it.
     """
+    from scipy.optimize import minimize_scalar
     p = np.atleast_1d(np.asarray(pressures, dtype=float))
     d = np.atleast_1d(np.asarray(displacements, dtype=float))
     if p.size == 0 or d.size == 0:

@@ -106,10 +106,6 @@ def cylinder_inner_radius_mm(pressure_kpa, spec=None, c10_mpa=None):
     return brentq(gap, rin + 1e-12, top, xtol=1e-12)
 
 
-CYLINDER_FIXED = (("end0", "z"), ("end1", "z"), ("xaxis", "y"),
-                  ("yaxis", "x"))
-
-
 def _fixture_mesh(kind, element_size):
     """A check's mesh, built without the coarse-element warning."""
     with warnings.catch_warnings():
@@ -122,7 +118,7 @@ def solve_cylinder(element_size, params):
     """(mesh, solution) of the plane-strain tube at 50 kPa in 10 steps."""
     mesh = _fixture_mesh("tube", element_size)
     case = fea.LoadCase(target_pressure_kpa=50.0, increments=10,
-                        fixed_set=None, extra_fixed=CYLINDER_FIXED)
+                        fixed_set=None, extra_fixed=fea.TUBE_SUPPORTS)
     return mesh, fea.solve(mesh, params, case)
 
 

@@ -241,9 +241,10 @@ def test_bending_solves_spend_no_fallback(bending_solutions):
     for kind, log in logs.items():
         assert sum(rec["fallbacks"] for rec in log) == 0, kind
     # a load-free first factor after a discarded chord took bending1
-    # from 151 to 131 LUs and left bending2 at 73
-    assert sum(rec["factorizations"] for rec in logs["bending1"]) < 140
-    assert sum(rec["factorizations"] for rec in logs["bending2"]) <= 73
+    # from 151 to 131 LUs, and one on the first increment to 128 and
+    # bending2 from 72 to 71
+    assert sum(rec["factorizations"] for rec in logs["bending1"]) <= 128
+    assert sum(rec["factorizations"] for rec in logs["bending2"]) <= 71
 
 
 def test_quadruped_bend_table_matches_bending_solve(bending_solutions):

@@ -37,6 +37,21 @@ def test_python_m_runs_the_cli():
     assert "pneusoft" in done.stdout
 
 
+def test_solve_path_loads_no_optimizer_quadrature_or_checks():
+    # the solve path imports only what it uses: SciPy's optimizer and
+    # quadrature and the check suite load with calibrate and verify alone
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = ("import sys, pneusoft.cli\n"
+            "from pneusoft import fea, config\n"
+            "print(' '.join(m for m in sys.modules if m.startswith(("
+            "'scipy.optimize', 'scipy.integrate', 'pneusoft.verify'))))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
+
+
 def test_missing_required_arguments_exit_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["mesh"])  # --kind is required
@@ -347,6 +362,25 @@ def test_robot_earthworm_sweep(tmp_path, capsys, monkeypatch):
     assert abs(best[1] - 16.0) <= 0.2 * 16.0
 
 
+def test_robot_earthworm_reports_a_backward_crawl(tmp_path, capsys):
+    # reversed claws crawl backward: the peak is the fastest speed either
+    # way, not the largest signed one (a stalled 0 at 1.3 Hz)
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["robot", "earthworm", "--out", str(out),
+                     "--set", "earthworm.mu_forward=1.5",
+                     "--set", "earthworm.mu_backward=0.5"]) == 0
+    assert capsys.readouterr().out == \
+        "peak speed 16.00 mm/s backward at 0.80 Hz\n"
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert rows[np.argmin(rows[:, 1])][0] == pytest.approx(0.8)
+
+
+def test_robot_earthworm_names_a_stall_at_every_frequency(capsys):
+    assert cli.main(["robot", "earthworm", "--sweep", "1e16:1e17:3e16"]) == 0
+    assert capsys.readouterr().out == \
+        "peak speed 0.00 mm/s: the worm stalls at every frequency\n"
+
+
 @pytest.mark.parametrize("sweep, freqs", [
     ("1e16:1e17:3e16", [1e16, 4e16, 7e16, 1e17]),
     ("1e17:1e17:1", [1e17]),
@@ -522,9 +556,14 @@ def test_solve_mesh_without_tip_set_exits_2_before_solving(tmp_path, capsys,
     rc = cli.main(["solve", "--mesh", str(msh), "--pressure", "10",
                    "--out", str(out)])
     assert rc == 2
-    assert capsys.readouterr().err.startswith(
+    err = capsys.readouterr().err
+    assert err.startswith(
         "error: the mesh has neither a 'tip' nor an 'end1' node set to "
         "measure; add one to the mesh file")
+    # the refusal is the measurements' own rule
+    with pytest.raises(KeyError) as exc:
+        fea.tip_set(meshmod.load_mesh(msh))
+    assert err == f"error: {exc.value.args[0]}\n"
     assert not out.exists()
 
 

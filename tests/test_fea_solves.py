@@ -58,8 +58,8 @@ def test_bend_ramp_counts_and_answer():
     case = fea.LoadCase(target_pressure_kpa=60.0, increments=60,
                         extra_fixed=(("symx", "x"),))
     sol = fea.solve(mesh, material.HyperelasticParams(c10=0.24), case)
-    assert sum(rec["factorizations"] for rec in sol.log) <= 67
-    assert sum(rec["iterations"] for rec in sol.log) <= 186
+    assert sum(rec["factorizations"] for rec in sol.log) <= 66
+    assert sum(rec["iterations"] for rec in sol.log) <= 184
     angle = fea.measure_bend_angle(mesh, sol)[-1]
     assert abs(angle - 13.1431806804) <= 1e-8
 
